@@ -1,13 +1,15 @@
-"""Ingest gauntlet: columnar change-vector batches vs the record oracle.
+"""Ingest gauntlet: columnar change-vector batches vs the record reference.
 
-The vectorized ingest path (DESIGN.md section 15) ships redo as columnar
-``CVBatch`` structures and keeps them columnar through distribution,
-mining, commit-table insertion, chop and flush.  This bench measures the
-speedup of that machinery directly, with an **in-run ablation**: the same
+The standby ingests redo as columnar ``CVBatch`` structures (DESIGN.md
+section 15) and keeps them columnar through distribution, mining,
+commit-table insertion, chop and flush.  This bench measures the speedup
+of that machinery directly, with an **in-run ablation**: the same
 captured redo stream is pushed through freshly built apply-side
-components twice -- once as ``CVBatch`` shipments (``ingest="batched"``,
-the default) and once record-at-a-time (``ingest="records"``, the
-correctness oracle) -- and the apply-side CV throughput is compared.
+components twice -- once as ``CVBatch`` shipments through the product's
+distributor, miner and gather, and once record-at-a-time through the
+reference interpreter of ``tests/reference/record_ingest.py`` (per-CV
+routing, per-CV sniff into record-list anchors, dict-walk gather) -- and
+the apply-side CV throughput is compared.
 
 Two things are deliberately excluded from the timed region:
 
@@ -15,18 +17,13 @@ Two things are deliberately excluded from the timed region:
   same in both modes and would only dilute the ratio being measured;
 * the physical rowstore apply: it is byte-identical work in both modes
   (version-chain walks that never vectorize) and is not part of the
-  batched redo machinery this PR changes.
-
-A second test drives two *live* deployments (tracer armed) through the
-same DML history and asserts the published QuerySCN sequences are
-value-identical -- batching must change how much an advancement costs,
-never when it happens, so end-to-end visibility lag is unchanged by
-construction (compare ``BENCH_apply_lag.json``, regenerated by
-bench_fig11 with batched ingest as the default).
+  batched redo machinery.
 """
 
 from __future__ import annotations
 
+import pathlib
+import sys
 import time
 
 import pytest
@@ -38,18 +35,23 @@ from repro.db.deployment import Deployment, InMemoryService
 from repro.db.schema_def import ColumnDef, TableDef
 from repro.dbim_adg.commit_table import IMADGCommitTable
 from repro.dbim_adg.ddl import DDLInformationTable
-from repro.dbim_adg.flush import InvalidationFlushComponent
+from repro.dbim_adg.flush import InvalidationFlushComponent, gather_groups
 from repro.dbim_adg.journal import IMADGJournal
 from repro.dbim_adg.mining import MiningComponent
 from repro.redo.batch import CVBatch
 
 from conftest import save_json, save_report
 
+# the record-at-a-time reference lives with the tests, outside the package
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
+from tests.reference import record_ingest  # noqa: E402
+
 #: Records per shipment in the gauntlet -- a drain-shaped firehose (the
 #: shipper's steady-state batch is smaller; large shipments are what a
 #: catch-up after a standby outage looks like).
 SHIPMENT_RECORDS = 2048
-#: The gate: apply-side CVs/s, batched over records, same stream.
+#: The gate: apply-side CVs/s, batched over the record reference, same
+#: stream.
 REQUIRED_SPEEDUP = 3.0
 BEST_OF = 3
 
@@ -60,7 +62,7 @@ UPDATES_PER_TXN = 100
 
 @pytest.fixture(scope="module")
 def firehose():
-    """One DML firehose captured on a live (batched-ingest) deployment.
+    """One DML firehose captured on a live deployment.
 
     The deployment itself drains the stream end-to-end -- its metrics
     registry must show the batch histograms afterwards -- and its redo
@@ -73,7 +75,7 @@ def firehose():
             repopulate_invalid_fraction=0.02,
             repopulate_min_interval=0.1,
         ),
-        apply=ApplyConfig(n_workers=4, ingest="batched"),
+        apply=ApplyConfig(n_workers=4),
         seed=7,
     )
     registry = obs.MetricsRegistry()
@@ -118,17 +120,23 @@ def firehose():
 
 def drain_once(deployment, records, batched: bool) -> dict[str, float]:
     """Push the captured stream through fresh apply-side components,
-    timing each stage: transpose, distribute, mine, chop, flush."""
+    timing each stage: transpose, distribute, mine, chop, flush.
+    ``batched=False`` runs the record-at-a-time reference instead."""
     owner = object()
-    journal = IMADGJournal(64)
-    commit_table = IMADGCommitTable(4)
-    miner = MiningComponent(
-        journal, commit_table, DDLInformationTable(), deployment.standby.imcs
-    )
+    imcs = deployment.standby.imcs
+    if batched:
+        journal = IMADGJournal(64)
+        commit_table = IMADGCommitTable(4)
+        miner = MiningComponent(
+            journal, commit_table, DDLInformationTable(), imcs
+        )
+    else:
+        ref = record_ingest.RecordIngest(imcs, 64, 4)
+        journal, commit_table, miner = ref.journal, ref.commit_table, ref.miner
     flush = InvalidationFlushComponent(
-        journal, commit_table, DDLInformationTable(), deployment.standby.imcs
+        journal, commit_table, DDLInformationTable(), imcs
     )
-    distributor = ApplyDistributor(4)
+    limit = flush.group_block_limit
     times: dict[str, float] = {}
 
     t0 = time.perf_counter()
@@ -142,6 +150,10 @@ def drain_once(deployment, records, batched: bool) -> dict[str, float]:
     times["transpose"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    if batched:
+        distributor = ApplyDistributor(4)
+    else:
+        distributor = record_ingest.RecordDistributor(4)
     distributor.distribute(items)
     times["distribute"] = time.perf_counter() - t0
 
@@ -163,7 +175,13 @@ def drain_once(deployment, records, batched: bool) -> dict[str, float]:
     t0 = time.perf_counter()
     for node in nodes:
         if node.anchor is not None:
-            for group in flush._gather_groups(node):
+            if batched:
+                groups = gather_groups([node.anchor], node.commit_scn, limit)
+            else:
+                groups = record_ingest.gather_groups(
+                    node.anchor.all_records(), node.commit_scn, limit
+                )
+            for group in groups:
                 flush.router.route(group)
         journal.remove_with_recovery(node.xid, flush)
     times["flush"] = time.perf_counter() - t0
@@ -177,7 +195,7 @@ def test_ingest_gauntlet(firehose, benchmark):
     assert total_cvs > 20_000, "firehose too small to be meaningful"
 
     results = {}
-    for label, batched in (("records", False), ("batched", True)):
+    for label, batched in (("reference", False), ("batched", True)):
         best = None
         for __ in range(BEST_OF):
             times = drain_once(deployment, records, batched)
@@ -191,7 +209,9 @@ def test_ingest_gauntlet(firehose, benchmark):
             "cvs_per_s": round(total_cvs / total),
         }
 
-    speedup = results["batched"]["cvs_per_s"] / results["records"]["cvs_per_s"]
+    speedup = (
+        results["batched"]["cvs_per_s"] / results["reference"]["cvs_per_s"]
+    )
 
     # the live deployment really ran the columnar path end-to-end
     snapshot = registry.snapshot()
@@ -220,93 +240,26 @@ def test_ingest_gauntlet(firehose, benchmark):
     })
 
     lines = [
-        "Ingest gauntlet: apply-side CVs/s, batched vs record oracle",
+        "Ingest gauntlet: apply-side CVs/s, batched vs record reference",
         f"  stream: {len(records)} records / {total_cvs} CVs, "
         f"shipments of {SHIPMENT_RECORDS} records, best of {BEST_OF}",
     ]
-    for label in ("records", "batched"):
+    for label in ("reference", "batched"):
         r = results[label]
         stages = "  ".join(
             f"{k}={v:.1f}ms" for k, v in r["stage_ms"].items()
         )
         lines.append(
-            f"  {label:8s} {r['cvs_per_s']:>9,} cvs/s  "
+            f"  {label:9s} {r['cvs_per_s']:>9,} cvs/s  "
             f"({r['total_ms']:.1f}ms: {stages})"
         )
     lines.append(f"  speedup: {speedup:.2f}x (gate: >= {REQUIRED_SPEEDUP}x)")
     save_report("ingest_gauntlet", "\n".join(lines))
 
     assert speedup >= REQUIRED_SPEEDUP, (
-        f"batched ingest only {speedup:.2f}x over the record oracle "
+        f"batched ingest only {speedup:.2f}x over the record reference "
         f"(gate {REQUIRED_SPEEDUP}x): {results}"
     )
 
     # wall-clock: transposing one shipment into columnar form
     benchmark(lambda: CVBatch.from_records(records[:SHIPMENT_RECORDS]))
-
-
-def _live_run(ingest: str):
-    """A small live deployment (tracer armed) driven through a fixed DML
-    history; returns (query_scn_history, visibility_lag_summary)."""
-    config = SystemConfig(
-        imcs=IMCSConfig(
-            imcu_target_rows=256,
-            population_workers=1,
-            repopulate_invalid_fraction=0.05,
-            repopulate_min_interval=0.05,
-        ),
-        apply=ApplyConfig(n_workers=3, ingest=ingest),
-        seed=11,
-    )
-    registry = obs.MetricsRegistry()
-    with obs.collecting(registry):
-        deployment = Deployment.build(config=config)
-        deployment.create_table(
-            TableDef(
-                "T",
-                (
-                    ColumnDef.number("id", nullable=False),
-                    ColumnDef.number("n1"),
-                ),
-                rows_per_block=32,
-                indexes=("id",),
-            )
-        )
-        primary = deployment.primary
-        rowids = []
-        txn = primary.begin()
-        for i in range(500):
-            rowids.append(primary.insert(txn, "T", (i, float(i))))
-        primary.commit(txn)
-        deployment.catch_up()
-        deployment.enable_inmemory("T", service=InMemoryService.STANDBY)
-        deployment.catch_up()
-        for t in range(50):
-            txn = primary.begin()
-            for j in range(10):
-                primary.update(
-                    txn, "T", rowids[(t * 13 + j) % len(rowids)],
-                    {"n1": float(t + j)},
-                )
-            primary.commit(txn)
-            deployment.run(0.02)
-        deployment.catch_up()
-        history = list(deployment.standby.query_scn.history)
-        visibility = registry.snapshot().get("lifecycle.visibility_lag")
-    return history, visibility
-
-
-def test_ingest_visibility_lag_unchanged():
-    """Batching must not move *when* visibility advances: the QuerySCN
-    history of a live batched run is value-identical to the record
-    oracle's, so simulated visibility lag is unchanged by construction."""
-    history_batched, vis_batched = _live_run("batched")
-    history_records, vis_records = _live_run("records")
-    assert history_batched == history_records, (
-        "published QuerySCN sequences diverged between ingest modes"
-    )
-    assert vis_batched is not None and vis_batched["count"] > 0
-    assert vis_records is not None and vis_records["count"] > 0
-    # identical histories => identical simulated lag distributions
-    assert vis_batched["count"] == vis_records["count"]
-    assert vis_batched["p95"] <= vis_records["p95"] * 1.05 + 1e-9

@@ -7,12 +7,16 @@ identifier, so a recovery worker process can independently process the CVs
 it has been assigned, and apply the CVs to database blocks in the SCN
 order" (paper, II-A, Fig. 3).
 
-Two DBIM-on-ADG hooks attach here, exactly where the paper puts them:
+Merged redo arrives as columnar :class:`~repro.redo.batch.CVBatch` runs;
+each worker's share of one batch is a single :class:`CVChunk` on its
+queue.  Two DBIM-on-ADG hooks attach here, exactly where the paper puts
+them:
 
-* a **sniffer** (the Mining Component) sees every CV as a worker applies
-  it; a sniff can fail on a journal bucket-latch miss, in which case the
-  worker stops its batch and retries the same CV on its next step -- the
-  spinning behaviour whose cost the journal's sizing is designed to avoid;
+* a **batch sniffer** (the Mining Component) mines each chunk before any
+  of it is applied; a sniff can fail on a journal bucket-latch miss, in
+  which case the worker stops its batch and retries the chunk (keeping
+  its partial progress) on its next step -- the spinning behaviour whose
+  cost the journal's sizing is designed to avoid;
 * a **flush helper** lets workers participate in cooperative invalidation
   flush: each step first drains a batch of worklink nodes if a worklink
   exists, then returns to redo apply (paper, III-D-2).
@@ -30,7 +34,7 @@ from repro.chaos import sites
 from repro.common.ids import WorkerId
 from repro.common.scn import NULL_SCN, SCN
 from repro.redo.batch import OP_CODE, CVBatch, CVChunk
-from repro.redo.records import ChangeVector, CVOp, RedoRecord
+from repro.redo.records import ChangeVector, CVOp
 from repro.sim.cpu import CpuNode
 from repro.sim.scheduler import Actor, Scheduler
 
@@ -52,10 +56,6 @@ class CVApplier(Protocol):
         ...
 
 
-#: Sniffer signature: (cv, scn, worker_id, owner) -> True if mined, False
-#: on a latch miss (the worker must retry the same CV).
-Sniffer = Callable[[ChangeVector, SCN, WorkerId, object], bool]
-
 #: Batch sniffer signature: (chunk, worker_id, owner) -> True once the
 #: whole chunk is mined, False on a latch miss (partial progress is kept
 #: on the chunk; the worker retries next step).
@@ -68,70 +68,64 @@ FlushHelper = Callable[[WorkerId, int], int]
 
 
 class ApplyDistributor:
-    """Hashes CVs of merged records onto per-worker queues.
+    """Hashes the CVs of merged batches onto per-worker queues.
 
-    Accepts both record-at-a-time input (queue items are ``(scn, cv)``
-    tuples) and columnar :class:`CVBatch` input, where ``worker_for`` is
-    evaluated as one vectorized modulo over the batch's dba array and
-    each worker receives a single :class:`CVChunk` per batch.
+    The paper's ``hash(dba) % n_workers`` routing is evaluated as one
+    vectorized modulo over a batch's dba array, and each worker receives
+    a single :class:`CVChunk` per batch.
     """
 
     def __init__(self, n_workers: int) -> None:
         if n_workers < 1:
             raise ValueError("need at least one recovery worker")
         self.n_workers = n_workers
-        #: Per-worker queues of ``(scn, cv)`` tuples and/or CVChunks.
-        self.queues: list[deque] = [deque() for __ in range(n_workers)]
+        self.queues: list[deque[CVChunk]] = [
+            deque() for __ in range(n_workers)
+        ]
         #: Highest SCN fully handed out to the queues.
         self.distributed_through: SCN = NULL_SCN
         #: CVs per distributed columnar batch.
         self._batch_cvs = obs.histogram("adg.apply.batch_cvs")
 
-    def worker_for(self, cv: ChangeVector) -> WorkerId:
-        return hash(cv.dba) % self.n_workers
-
     def _workers_for_dbas(self, dbas: np.ndarray) -> np.ndarray:
-        """Vectorized ``worker_for``: CPython's hash of an int64-range
-        int is the int itself except hash(-1) == -2, so the array form
-        routes identically to the scalar form."""
+        """``hash(dba) % n_workers`` over an array: CPython's hash of an
+        int64-range int is the int itself except hash(-1) == -2."""
         return np.where(dbas == -1, -2, dbas) % self.n_workers
 
-    def distribute(self, items: list) -> int:
-        """Route every CV of the items (RedoRecords and/or CVBatches);
-        returns the CV count."""
+    def distribute(self, batches: list[CVBatch]) -> int:
+        """Route every CV of the batches; returns the CV count."""
         routed = 0
-        for item in items:
-            if isinstance(item, CVBatch):
-                routed += self._distribute_batch(item)
-                continue
-            for cv in item.cvs:
-                self.queues[self.worker_for(cv)].append((item.scn, cv))
-                routed += 1
-            if item.scn > self.distributed_through:
-                self.distributed_through = item.scn
+        for batch in batches:
+            routed += self._distribute_batch(batch)
+            if batch.n_records and batch.last_scn > self.distributed_through:
+                self.distributed_through = batch.last_scn
         return routed
 
     def _distribute_batch(self, batch: CVBatch) -> int:
-        n_cvs = batch.n_cvs
-        if n_cvs:
-            if self.n_workers == 1:
-                self.queues[0].append(
-                    CVChunk(batch, np.arange(n_cvs, dtype=np.int64))
-                )
-            else:
-                workers = self._workers_for_dbas(batch.dbas)
-                order = np.argsort(workers, kind="stable")
-                bounds = np.searchsorted(
-                    workers[order], np.arange(self.n_workers + 1)
-                )
-                for w in range(self.n_workers):
-                    lo, hi = int(bounds[w]), int(bounds[w + 1])
-                    if hi > lo:
-                        # stable sort keeps SCN order within the worker
-                        self.queues[w].append(CVChunk(batch, order[lo:hi]))
-            self._batch_cvs.observe(n_cvs)
-        if batch.n_records and batch.last_scn > self.distributed_through:
-            self.distributed_through = batch.last_scn
+        return self._enqueue(batch, np.arange(batch.n_cvs, dtype=np.int64))
+
+    def _enqueue(self, batch: CVBatch, indices: np.ndarray) -> int:
+        """Hash the batch's CVs at ``indices`` (ascending) onto the
+        worker queues, one chunk per worker; returns the CV count."""
+        n_cvs = int(indices.size)
+        if not n_cvs:
+            return 0
+        if self.n_workers == 1:
+            self.queues[0].append(CVChunk(batch, indices))
+        else:
+            workers = self._workers_for_dbas(batch.dbas[indices])
+            order = np.argsort(workers, kind="stable")
+            bounds = np.searchsorted(
+                workers[order], np.arange(self.n_workers + 1)
+            )
+            for w in range(self.n_workers):
+                lo, hi = int(bounds[w]), int(bounds[w + 1])
+                if hi > lo:
+                    # stable sort keeps SCN order within the worker
+                    self.queues[w].append(
+                        CVChunk(batch, indices[order[lo:hi]])
+                    )
+        self._batch_cvs.observe(n_cvs)
         return n_cvs
 
     def note_applied(self, cv: ChangeVector) -> None:
@@ -139,11 +133,8 @@ class ApplyDistributor:
         bookkeeping for subclasses; the static hash scheme needs none)."""
 
     def _queue_load(self, worker: WorkerId) -> int:
-        """Pending CVs on one worker's queue (chunk-aware)."""
-        total = 0
-        for item in self.queues[worker]:
-            total += len(item) if isinstance(item, CVChunk) else 1
-        return total
+        """Pending CVs on one worker's queue."""
+        return sum(len(chunk) for chunk in self.queues[worker])
 
     def pending(self) -> int:
         return sum(self._queue_load(w) for w in range(self.n_workers))
@@ -152,11 +143,8 @@ class ApplyDistributor:
         """Every still-queued (unapplied) ChangeVector, identity-
         preserving -- the instant-restart tail replay excludes these."""
         for queue in self.queues:
-            for item in queue:
-                if isinstance(item, CVChunk):
-                    yield from item.remaining_cvs()
-                else:
-                    yield item[1]
+            for chunk in queue:
+                yield from chunk.remaining_cvs()
 
 
 class DependencyAwareDistributor(ApplyDistributor):
@@ -191,49 +179,13 @@ class DependencyAwareDistributor(ApplyDistributor):
         self._object_owner: dict[int, list] = {}
         self._chained_cvs = obs.counter("adg.distributor.chained_cvs")
 
-    def _least_loaded(self) -> WorkerId:
-        best = 0
-        best_len = len(self.queues[0])
-        for i in range(1, self.n_workers):
-            length = len(self.queues[i])
-            if length < best_len:
-                best, best_len = i, length
-        return best
-
-    def worker_for(self, cv: ChangeVector) -> WorkerId:
-        entry = self._dba_owner.get(cv.dba)
-        if entry is not None:
-            return entry[0]
-        if cv.is_data or cv.op is CVOp.TRUNCATE:
-            obj = self._object_owner.get(cv.object_id)
-            if obj is not None:
-                return obj[0]
-        return self._least_loaded()
-
-    def distribute(self, items: list) -> int:
-        routed = 0
-        for item in items:
-            if isinstance(item, CVBatch):
-                routed += self._distribute_batch(item)
-                continue
-            for cv in item.cvs:
-                worker = self._route(cv)
-                self.queues[worker].append((item.scn, cv))
-                routed += 1
-            if item.scn > self.distributed_through:
-                self.distributed_through = item.scn
-        return routed
-
     def _distribute_batch(self, batch: CVBatch) -> int:
         """Batch-wise dependency routing: one routing decision per
-        *dba run* (all of a batch's CVs for one block) instead of one per
-        CV.  Runs are processed in first-occurrence (SCN) order so DDL
-        creation markers seed object owners before later runs consult
-        them, exactly as the per-CV path would."""
+        *dba run* (all of a batch's CVs for one block).  Runs are
+        processed in first-occurrence (SCN) order so DDL creation markers
+        seed object owners before later runs consult them."""
         n_cvs = batch.n_cvs
         if not n_cvs:
-            if batch.n_records and batch.last_scn > self.distributed_through:
-                self.distributed_through = batch.last_scn
             return 0
         dbas = batch.dbas
         ops = batch.ops
@@ -298,35 +250,7 @@ class DependencyAwareDistributor(ApplyDistributor):
         if chained:
             self._chained_cvs.inc(chained)
         self._batch_cvs.observe(n_cvs)
-        if batch.last_scn > self.distributed_through:
-            self.distributed_through = batch.last_scn
         return n_cvs
-
-    def _route(self, cv: ChangeVector) -> WorkerId:
-        chained = True
-        entry = self._dba_owner.get(cv.dba)
-        if entry is None:
-            worker = None
-            if cv.is_data or cv.op is CVOp.TRUNCATE:
-                obj = self._object_owner.get(cv.object_id)
-                if obj is not None:
-                    worker = obj[0]
-            if worker is None:
-                worker = self._least_loaded()
-                chained = False
-            entry = [worker, 0]
-            self._dba_owner[cv.dba] = entry
-        entry[1] += 1
-        if chained:
-            self._chained_cvs.inc()
-        if cv.op is CVOp.DDL_MARKER and cv.payload.kind == "create_table":
-            for object_id in cv.payload.object_ids:
-                obj = self._object_owner.get(object_id)
-                if obj is None:
-                    self._object_owner[object_id] = [entry[0], 1]
-                else:
-                    obj[1] += 1
-        return entry[0]
 
     def note_applied(self, cv: ChangeVector) -> None:
         entry = self._dba_owner.get(cv.dba)
@@ -351,13 +275,16 @@ class RecoveryWorker(Actor):
     apply_stalls = obs.view("_apply_stalls")
     #: Steps skipped by an installed chaos fault (injected slowness).
     chaos_stalls = obs.view("_chaos_stalls")
+    #: Per-CV mining hook: always None, because mining runs per chunk
+    #: through ``batch_sniffer``.  Kept so callers that probe both hook
+    #: names still work.
+    sniffer = None
 
     def __init__(
         self,
         worker_id: WorkerId,
         distributor: ApplyDistributor,
         applier: CVApplier,
-        sniffer: Optional[Sniffer] = None,
         flush_helper: Optional[FlushHelper] = None,
         batch: int = 64,
         flush_batch: int = 8,
@@ -369,7 +296,6 @@ class RecoveryWorker(Actor):
         self.worker_id = worker_id
         self.distributor = distributor
         self.applier = applier
-        self.sniffer = sniffer
         self.batch_sniffer = batch_sniffer
         #: Static dba routing needs no per-CV note_applied bookkeeping,
         #: so the chunk apply loop can skip the call entirely.
@@ -408,9 +334,6 @@ class RecoveryWorker(Actor):
         self._chaos = sites.declare("adg.apply_worker", owner=self)
         #: SCN of the last CV this worker applied.
         self.applied_scn: SCN = NULL_SCN
-        #: True when the queue-head CV was already sniffed but its apply
-        #: stalled -- prevents double-mining on the retry.
-        self._head_sniffed = False
 
     # ------------------------------------------------------------------
     def applied_through(self) -> SCN:
@@ -422,9 +345,7 @@ class RecoveryWorker(Actor):
         queue = self.distributor.queues[self.worker_id]
         if not queue:
             return self.distributor.distributed_through
-        head = queue[0]
-        head_scn = head[0] if type(head) is tuple else head.head_scn
-        return head_scn - 1
+        return queue[0].head_scn - 1
 
     # ------------------------------------------------------------------
     def step(self, sched: Scheduler) -> Optional[float]:
@@ -460,38 +381,15 @@ class RecoveryWorker(Actor):
         tracer = obs.tracer_of(self._obs)
         applied = 0
         while queue and applied < self.batch:
-            head = queue[0]
-            if isinstance(head, CVChunk):
-                done, stop = self._apply_chunk_step(
-                    head, self.batch - applied, tracer
-                )
-                applied += done
-                if not len(head):
-                    queue.popleft()
-                if stop:
-                    break
-                continue
-            scn, cv = head
-            if self.sniffer is not None and not self._head_sniffed:
-                if not self.sniffer(cv, scn, self.worker_id, self):
-                    # bucket latch miss: spin -- retry this CV next step.
-                    self._sniff_retries.inc()
-                    break
-            self._head_sniffed = True
-            try:
-                self.applier.apply_cv(cv, scn)
-            except ApplyStall:
-                # dependency on another worker's progress; retry later
-                # (already sniffed: _head_sniffed stays set)
-                self._apply_stalls.inc()
+            chunk = queue[0]
+            done, stop = self._apply_chunk_step(
+                chunk, self.batch - applied, tracer
+            )
+            applied += done
+            if not len(chunk):
+                queue.popleft()
+            if stop:
                 break
-            self._head_sniffed = False
-            queue.popleft()
-            self.distributor.note_applied(cv)
-            self.applied_scn = scn
-            applied += 1
-            if tracer is not None:
-                tracer.record_applied(scn)
         if applied:
             cost += self.cost_per_cv * applied
             self._cvs_applied.inc(applied)
@@ -503,34 +401,21 @@ class RecoveryWorker(Actor):
     ) -> tuple[int, bool]:
         """Mine-then-apply up to ``budget`` CVs of the head chunk.
 
-        The *whole* chunk is mined before any of it applies -- the
-        chunk-scale analogue of sniff-then-apply.  This is safe because
+        The *whole* chunk is mined before any of it applies (the paper's
+        sniff-then-apply, at chunk scale).  This is safe because
         the coordinator's consistency point never passes any worker's
         queue head, so early-mined commits cannot chop ahead of their
         data.  Returns ``(applied, stop)``; ``stop`` means a latch miss
         or apply stall ended this worker's step.
         """
         if not chunk.fully_mined:
-            if self.batch_sniffer is not None:
-                if not self.batch_sniffer(chunk, self.worker_id, self):
-                    # bucket latch miss mid-chunk: partial progress is
-                    # kept on the chunk; retry next step.
-                    self._sniff_retries.inc()
-                    return 0, True
-            elif self.sniffer is not None:
-                indices = chunk.indices
-                scns = chunk.batch.scns
-                cvs = chunk.batch.cvs
-                while chunk.mined_pos < len(indices):
-                    i = int(indices[chunk.mined_pos])
-                    if not self.sniffer(
-                        cvs[i], int(scns[i]), self.worker_id, self
-                    ):
-                        self._sniff_retries.inc()
-                        return 0, True
-                    chunk.mined_pos += 1
-            else:
+            if self.batch_sniffer is None:
                 chunk.mined_pos = len(chunk.indices)
+            elif not self.batch_sniffer(chunk, self.worker_id, self):
+                # bucket latch miss mid-chunk: partial progress is kept
+                # on the chunk; retry next step.
+                self._sniff_retries.inc()
+                return 0, True
         indices = chunk.indices
         scns = chunk.batch.scns
         cvs = chunk.batch.cvs

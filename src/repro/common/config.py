@@ -75,10 +75,6 @@ class ApplyConfig:
     # create-table marker) to the owning worker, eliminating cross-worker
     # barrier stalls on cross-partition transactions.
     routing: str = "hash"
-    # Ingest pipeline shape: "batched" ships columnar CVBatches from the
-    # log shipper through distribution, mining and flush; "records" is the
-    # record-at-a-time path, kept as the correctness oracle.
-    ingest: str = "batched"
 
 
 @dataclass(slots=True)
@@ -112,13 +108,6 @@ class JournalConfig:
     # If True the primary annotates commit records with the "modified an
     # IMCS-enabled object" flag (paper, III-E: specialized redo generation).
     specialized_commit_redo: bool = True
-    # Adaptive record granularity: once a worker has buffered this many
-    # slot-level invalidation records for one block of a transaction, the
-    # block's records collapse into a single whole-block (command-style)
-    # marker and further slot records for it are dropped -- hot blocks pay
-    # O(1) journal space while cold ones keep row granularity.  None
-    # disables collapsing (every record stays physical).
-    record_collapse_threshold: int | None = None
 
 
 @dataclass(slots=True)

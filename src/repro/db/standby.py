@@ -6,8 +6,8 @@ Wires together every component of sections II-A and III:
   merger, the apply distributor, N recovery workers and the recovery
   coordinator publishing the QuerySCN under the quiesce lock;
 * when DBIM-on-ADG is enabled: the mining component installed as the
-  workers' sniffer, the IM-ADG Journal / Commit Table / DDL Information
-  Table, and the invalidation flush component installed as the
+  workers' batch sniffer, the IM-ADG Journal / Commit Table / DDL
+  Information Table, and the invalidation flush component installed as the
   coordinator's advance protocol (with cooperative flush hooks on the
   workers);
 * the standby's own IMCS with population synchronised to published
@@ -51,7 +51,6 @@ from repro.obs.restart import record_restart
 from repro.restart.replay import RestartReport, instant_restart
 from repro.imcs.scan import Predicate, ScanEngine, ScanResult
 from repro.imcs.store import InMemoryColumnStore
-from repro.redo.batch import CVChunk
 from repro.redo.records import ChangeVector, DDLMarkerPayload
 from repro.redo.shipping import RedoReceiver
 from repro.rowstore.buffer_cache import BufferCache
@@ -103,8 +102,7 @@ class StandbyDatabase(InMemoryFeaturesMixin):
         self.imcs = InMemoryColumnStore(self.config.imcs.pool_size_bytes)
         journal_cfg = self.config.journal
         self.journal = IMADGJournal(
-            max(journal_cfg.n_buckets, 4 * apply_cfg.n_workers),
-            collapse_threshold=journal_cfg.record_collapse_threshold,
+            max(journal_cfg.n_buckets, 4 * apply_cfg.n_workers)
         )
         self.commit_table = IMADGCommitTable(journal_cfg.commit_table_partitions)
         self.ddl_table = DDLInformationTable()
@@ -120,7 +118,6 @@ class StandbyDatabase(InMemoryFeaturesMixin):
             cooperative=apply_cfg.cooperative_flush,
         )
 
-        sniffer = self.miner.sniff if dbim_enabled else None
         batch_sniffer = self.miner.sniff_chunk if dbim_enabled else None
         flush_helper = (
             self.flush.worker_flush
@@ -132,7 +129,6 @@ class StandbyDatabase(InMemoryFeaturesMixin):
                 i,
                 self.distributor,
                 applier=self,
-                sniffer=sniffer,
                 batch_sniffer=batch_sniffer,
                 flush_helper=flush_helper,
                 batch=apply_cfg.worker_batch,
@@ -344,9 +340,8 @@ class StandbyDatabase(InMemoryFeaturesMixin):
         # Queued chunks carry mining cursors into the (now cleared)
         # journal: everything not yet applied must be re-mined.
         for queue in self.distributor.queues:
-            for item in queue:
-                if isinstance(item, CVChunk):
-                    item.reset_mining()
+            for chunk in queue:
+                chunk.reset_mining()
         for segment in list(self.imcs.segments()):
             self.imcs.drop_units(segment.object_id)
             segment.pending.clear()

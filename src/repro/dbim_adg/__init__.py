@@ -4,7 +4,7 @@ Keeps the standby's In-Memory Column Store transactionally consistent at
 every published QuerySCN, using only the redo stream:
 
 * the **Mining Component** (``mining.py``) piggybacks on recovery workers
-  and sniffs every change vector, producing invalidation records for
+  and sniffs each worker's chunk of change vectors, producing invalidation records for
   IMCS-enabled objects plus transaction control information;
 * the **IM-ADG Journal** (``journal.py``) buffers invalidation records per
   transaction in a hash table with bucket latches and per-worker buffer
@@ -24,7 +24,7 @@ across ``mining.py`` (missing-begin detection, commit-record flag) and
 ``flush.py`` (tenant-wide coarse invalidation).
 """
 
-from repro.dbim_adg.journal import AnchorNode, IMADGJournal, InvalidationRecord
+from repro.dbim_adg.journal import AnchorNode, IMADGJournal, RecordChunk
 from repro.dbim_adg.commit_table import CommitTableNode, IMADGCommitTable
 from repro.dbim_adg.ddl import DDLEntry, DDLInformationTable
 from repro.dbim_adg.mining import MiningComponent
@@ -33,12 +33,13 @@ from repro.dbim_adg.flush import (
     InvalidationGroup,
     LocalInvalidationRouter,
     Worklink,
+    gather_groups,
 )
 
 __all__ = [
     "AnchorNode",
     "IMADGJournal",
-    "InvalidationRecord",
+    "RecordChunk",
     "CommitTableNode",
     "IMADGCommitTable",
     "DDLEntry",
@@ -48,4 +49,5 @@ __all__ = [
     "InvalidationGroup",
     "LocalInvalidationRouter",
     "Worklink",
+    "gather_groups",
 ]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from repro.common.ids import DBA, ObjectId, TenantId, WorkerId
 from repro.common.scn import SCN
 from repro.dbim_adg.commit_table import CommitTableNode, IMADGCommitTable
 from repro.dbim_adg.ddl import DDLInformationTable
-from repro.dbim_adg.journal import IMADGJournal
+from repro.dbim_adg.journal import AnchorNode, IMADGJournal
 from repro.imcs.store import InMemoryColumnStore
 from repro.redo.records import DDLMarkerPayload
 
@@ -57,6 +57,87 @@ class InvalidationGroup:
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
+
+
+def gather_groups(
+    anchors: Iterable[AnchorNode],
+    commit_scn: SCN,
+    block_limit: Optional[int] = None,
+) -> list[InvalidationGroup]:
+    """Organise one transaction's records into invalidation groups
+    (paper, III-D: "chunks them up into invalidation groups based on the
+    DBA ranges for IMCUs").
+
+    ``anchors`` are the transaction's journal anchors -- one on a single
+    instance, one per apply instance under MIRA.  One lexsort over the
+    transaction's (object, dba, slot) triples replaces a per-record walk:
+    each (object, dba) routes the union of its slots, and a whole-block
+    entry (slot < 0) wins over any slot set.  ``block_limit`` caps
+    *distinct DBAs* per group (RAC message sizing; None = one group per
+    object).  Groups are cut only between DBAs, so no block's slot set is
+    ever split across groups -- which would route the DBA twice (double
+    epoch bumps locally, duplicate interconnect entries on RAC).
+    """
+    chunks = [chunk for anchor in anchors for chunk in anchor.chunks()]
+    if not chunks:
+        return []
+    tenant = chunks[0].tenant
+    if len(chunks) == 1:
+        object_ids = chunks[0].object_ids
+        dbas = chunks[0].dbas
+        slots = chunks[0].slots
+    else:
+        object_ids = np.concatenate([c.object_ids for c in chunks])
+        dbas = np.concatenate([c.dbas for c in chunks])
+        slots = np.concatenate([c.slots for c in chunks])
+    order = np.lexsort((slots, dbas, object_ids))
+    obj_s = object_ids[order]
+    dba_s = dbas[order]
+    slot_s = slots[order]
+    # Dedupe exact (object, dba, slot) triples in one vectorized shot --
+    # after the lexsort, each run's surviving slots are unique and
+    # ascending, so no per-run ``np.unique`` is needed.
+    if obj_s.size > 1:
+        keep = np.empty(obj_s.size, dtype=bool)
+        keep[0] = True
+        np.logical_or(obj_s[1:] != obj_s[:-1], dba_s[1:] != dba_s[:-1],
+                      out=keep[1:])
+        np.logical_or(keep[1:], slot_s[1:] != slot_s[:-1], out=keep[1:])
+        obj_s = obj_s[keep]
+        dba_s = dba_s[keep]
+        slot_s = slot_s[keep]
+    new_pair = np.empty(obj_s.size, dtype=bool)
+    new_pair[0] = True
+    np.logical_or(obj_s[1:] != obj_s[:-1], dba_s[1:] != dba_s[:-1],
+                  out=new_pair[1:])
+    starts = np.nonzero(new_pair)[0].tolist()
+    starts.append(obj_s.size)
+    # the per-run walk works on plain lists: for the short runs this loop
+    # sees, list slicing beats numpy scalar extraction
+    obj_l = obj_s.tolist()
+    dba_l = dba_s.tolist()
+    slot_l = slot_s.tolist()
+    out: list[InvalidationGroup] = []
+    group: Optional[InvalidationGroup] = None
+    for b in range(len(starts) - 1):
+        lo, hi = starts[b], starts[b + 1]
+        obj = obj_l[lo]
+        if (
+            group is None
+            or group.object_id != obj
+            or (block_limit is not None and group.n_blocks >= block_limit)
+        ):
+            group = InvalidationGroup(
+                object_id=obj, tenant=tenant, commit_scn=commit_scn
+            )
+            out.append(group)
+        if slot_l[lo] < 0:
+            # whole-block marker present (sorted first in the run)
+            block_slots: tuple[int, ...] = ()
+        else:
+            block_slots = tuple(slot_l[lo:hi])
+        group.blocks[dba_l[lo]] = block_slots
+    return out
 
 
 class LocalInvalidationRouter:
@@ -290,7 +371,9 @@ class InvalidationFlushComponent:
             self._coarse_flushes.inc()
             self._notify_coarse(node.tenant, node.commit_scn)
         elif node.anchor is not None:
-            for group in self._gather_groups(node):
+            for group in gather_groups(
+                [node.anchor], node.commit_scn, self.group_block_limit
+            ):
                 if staged:
                     self._staged_ops.append(("group", group))
                     self._staged_ops_counter.inc()
@@ -354,126 +437,6 @@ class InvalidationFlushComponent:
         if retired:
             self._staged_retired.inc(retired)
         return retired
-
-    def _gather_groups(self, node: CommitTableNode) -> list[InvalidationGroup]:
-        """Organise a transaction's records into invalidation groups
-        (paper, III-D: "chunks them up into invalidation groups based on
-        the DBA ranges for IMCUs").
-
-        ``group_block_limit`` caps *distinct DBAs* per group (RAC message
-        sizing), so a new group may only be opened when a record adds a
-        **new** DBA.  A record for a DBA already placed in some group of
-        this transaction must merge into that group's entry -- otherwise
-        one block's slot set would be split across groups, defeating the
-        whole-block-wins rule and routing the DBA twice (double epoch
-        bumps locally, duplicate interconnect entries on RAC).
-        """
-        assert node.anchor is not None
-        if node.anchor.worker_chunks and not node.anchor.worker_records:
-            return self._gather_groups_columnar(node)
-        open_group: dict[ObjectId, InvalidationGroup] = {}
-        assigned: dict[tuple[ObjectId, DBA], InvalidationGroup] = {}
-        out: list[InvalidationGroup] = []
-        for record in node.anchor.all_records():
-            key = (record.object_id, record.dba)
-            group = assigned.get(key)
-            if group is None:
-                group = open_group.get(record.object_id)
-                if group is None or group.n_blocks >= self.group_block_limit:
-                    group = InvalidationGroup(
-                        object_id=record.object_id,
-                        tenant=record.tenant,
-                        commit_scn=node.commit_scn,
-                    )
-                    open_group[record.object_id] = group
-                    out.append(group)
-                assigned[key] = group
-            existing = group.blocks.get(record.dba)
-            if existing is None:
-                group.blocks[record.dba] = record.slots
-            elif existing == () or record.slots == ():
-                group.blocks[record.dba] = ()  # whole block wins
-            else:
-                group.blocks[record.dba] = tuple(
-                    sorted(set(existing) | set(record.slots))
-                )
-        return out
-
-    def _gather_groups_columnar(
-        self, node: CommitTableNode
-    ) -> list[InvalidationGroup]:
-        """Array path of :meth:`_gather_groups` for anchors whose records
-        were bulk-mined into columnar RecordChunks: one lexsort over the
-        transaction's (object, dba, slot) triples replaces the per-record
-        dict walk.  Group *composition* may differ from the record path
-        (sorted vs first-seen order), but the union of routed (object,
-        dba, slots) invalidations -- what the SMUs see -- is identical:
-        whole-block (slot < 0) still wins, slot sets still union.
-        """
-        anchor = node.anchor
-        assert anchor is not None
-        all_chunks = [c for cs in anchor.worker_chunks.values() for c in cs]
-        tenant = all_chunks[0].tenant
-        if len(all_chunks) == 1:
-            object_ids = all_chunks[0].object_ids
-            dbas = all_chunks[0].dbas
-            slots = all_chunks[0].slots
-        else:
-            object_ids = np.concatenate([c.object_ids for c in all_chunks])
-            dbas = np.concatenate([c.dbas for c in all_chunks])
-            slots = np.concatenate([c.slots for c in all_chunks])
-        order = np.lexsort((slots, dbas, object_ids))
-        obj_s = object_ids[order]
-        dba_s = dbas[order]
-        slot_s = slots[order]
-        # Dedupe exact (object, dba, slot) triples in one vectorized shot
-        # -- after the lexsort, each run's surviving slots are unique and
-        # ascending, so no per-run ``np.unique`` is needed.
-        if obj_s.size > 1:
-            keep = np.empty(obj_s.size, dtype=bool)
-            keep[0] = True
-            np.logical_or(obj_s[1:] != obj_s[:-1], dba_s[1:] != dba_s[:-1],
-                          out=keep[1:])
-            np.logical_or(keep[1:], slot_s[1:] != slot_s[:-1],
-                          out=keep[1:])
-            obj_s = obj_s[keep]
-            dba_s = dba_s[keep]
-            slot_s = slot_s[keep]
-        new_pair = np.empty(obj_s.size, dtype=bool)
-        new_pair[0] = True
-        np.logical_or(obj_s[1:] != obj_s[:-1], dba_s[1:] != dba_s[:-1],
-                      out=new_pair[1:])
-        starts = np.nonzero(new_pair)[0].tolist()
-        starts.append(obj_s.size)
-        # the per-run walk works on plain lists: for the short runs this
-        # loop sees, list slicing beats numpy scalar extraction
-        obj_l = obj_s.tolist()
-        dba_l = dba_s.tolist()
-        slot_l = slot_s.tolist()
-        out: list[InvalidationGroup] = []
-        group: Optional[InvalidationGroup] = None
-        limit = self.group_block_limit
-        for b in range(len(starts) - 1):
-            lo, hi = starts[b], starts[b + 1]
-            obj = obj_l[lo]
-            if (
-                group is None
-                or group.object_id != obj
-                or group.n_blocks >= limit
-            ):
-                group = InvalidationGroup(
-                    object_id=obj,
-                    tenant=tenant,
-                    commit_scn=node.commit_scn,
-                )
-                out.append(group)
-            if slot_l[lo] < 0:
-                # whole-block marker present (sorted first in the run)
-                block_slots: tuple[int, ...] = ()
-            else:
-                block_slots = tuple(slot_l[lo:hi])
-            group.blocks[dba_l[lo]] = block_slots
-        return out
 
     # ------------------------------------------------------------------
     def _process_ddl(self, target_scn: SCN) -> None:

@@ -10,9 +10,11 @@ mine certain control information [...] viz. transaction state changes like
 Transaction Begin, Prepare, Commit and Abort and the commitSCN associated
 with each transaction."
 
-The ``sniff`` method is installed as the recovery workers' sniffer hook: it
-runs *before* a CV is applied and returns False on a journal/commit-table
-latch miss, making the worker retry the same CV on its next step.
+The :meth:`MiningComponent.sniff_chunk` method is installed as the
+recovery workers' batch sniffer: it mines a worker's whole chunk *before*
+any of it is applied and returns False on a journal/commit-table latch
+miss, making the worker retry the chunk (partial progress kept) on its
+next step.
 
 Restart protocol (section III-E): a mined commit record whose transaction
 has no 'begin' in the journal is a pre-restart transaction.  If the commit
@@ -32,7 +34,7 @@ from repro.common.ids import TransactionId, WorkerId
 from repro.common.scn import SCN
 from repro.dbim_adg.commit_table import CommitTableNode, IMADGCommitTable
 from repro.dbim_adg.ddl import DDLInformationTable
-from repro.dbim_adg.journal import IMADGJournal, InvalidationRecord
+from repro.dbim_adg.journal import IMADGJournal
 from repro.imcs.store import InMemoryColumnStore
 from repro.redo.batch import (
     BULK_DATA_LOOKUP,
@@ -41,15 +43,7 @@ from repro.redo.batch import (
     CVChunk,
     decode_xid,
 )
-from repro.redo.records import (
-    CVOp,
-    ChangeVector,
-    CommitPayload,
-    DeletePayload,
-    InsertPayload,
-    TruncatePayload,
-    UpdatePayload,
-)
+from repro.redo.records import CVOp, ChangeVector, CommitPayload
 
 
 class MiningComponent:
@@ -103,36 +97,6 @@ class MiningComponent:
         self._batch_cvs = obs.histogram("dbim.mine.batch_cvs")
 
     # ------------------------------------------------------------------
-    def sniff(
-        self, cv: ChangeVector, scn: SCN, worker_id: WorkerId, owner: object
-    ) -> bool:
-        """Mine one CV.  False = latch miss; the worker must retry it."""
-        mined = self._sniff_cv(cv, scn, worker_id, owner)
-        if mined:
-            tracer = obs.tracer_of(self._obs)
-            if tracer is not None:
-                tracer.record_mined(scn)
-        return mined
-
-    def _sniff_cv(
-        self, cv: ChangeVector, scn: SCN, worker_id: WorkerId, owner: object
-    ) -> bool:
-        op = cv.op
-        if op is CVOp.HEARTBEAT or op is CVOp.UNDO:
-            # Heartbeats carry no change.  UNDO (rollback) restores rows to
-            # their committed state -- which is what the IMCU already holds,
-            # so aborted changes never need invalidation; the journal's
-            # buffered records are discarded when the abort is mined.
-            return True
-        if op is CVOp.DDL_MARKER:
-            self.ddl_table.add(scn, cv.payload)
-            self._ddl_markers_mined.inc()
-            return True
-        if cv.is_control:
-            return self._sniff_control(cv, scn, owner)
-        return self._sniff_data(cv, scn, worker_id, owner)
-
-    # ------------------------------------------------------------------
     def _sniff_control(
         self, cv: ChangeVector, scn: SCN, owner: object
     ) -> bool:
@@ -164,59 +128,8 @@ class MiningComponent:
             if self.on_abort is not None:
                 self.on_abort(cv.xid, scn)
             return True
-        if op is CVOp.TXN_COMMIT:
-            return self._sniff_commit(cv, owner)
         raise ValueError(f"unhandled control op {op}")
 
-    def _sniff_commit(self, cv: ChangeVector, owner: object) -> bool:
-        payload: CommitPayload = cv.payload
-        acquired, anchor = self.journal.get(cv.xid, owner)
-        if not acquired:
-            self._latch_misses.inc()
-            return False
-        if anchor is not None and anchor.has_begin:
-            node = CommitTableNode(
-                xid=cv.xid,
-                commit_scn=payload.commit_scn,
-                anchor=anchor,
-                tenant=cv.tenant,
-            )
-        else:
-            # Missing 'transaction begin': mined state predates an instance
-            # restart (paper, III-E).  The commit-record flag decides:
-            #   False      -> transaction touched no IMCS object; skip.
-            #   True/None  -> coarse invalidation of the tenant's IMCUs
-            #                 (None = no specialized redo: be pessimistic).
-            if payload.modifies_imcs is False:
-                self._control_records_mined.inc()
-                return True
-            if self.tail_mode:
-                # Instant-restart tail replay: a commit whose begin lies
-                # below the tail floor belongs to a transaction whose
-                # invalidations were flushed into the checkpointed masks
-                # before capture (see repro.restart.replay) -- skipping is
-                # exact, not pessimistic.
-                self._tail_commits_skipped.inc()
-                self._control_records_mined.inc()
-                return True
-            node = CommitTableNode(
-                xid=cv.xid,
-                commit_scn=payload.commit_scn,
-                anchor=anchor,
-                tenant=cv.tenant,
-                coarse=True,
-            )
-            self._coarse_nodes_created.inc()
-        if not self.commit_table.insert(node, owner):
-            self._latch_misses.inc()
-            if node.coarse:
-                self._coarse_nodes_created.inc(-1)  # recreated on retry
-            return False
-        self._control_records_mined.inc()
-        return True
-
-    # ------------------------------------------------------------------
-    # Columnar chunk mining (installed as the workers' batch sniffer).
     # ------------------------------------------------------------------
     def sniff_chunk(
         self, chunk: CVChunk, worker_id: WorkerId, owner: object
@@ -253,8 +166,10 @@ class MiningComponent:
         special_positions = np.nonzero(SPECIAL_LOOKUP[chunk_ops])[0]
         data_mask = BULK_DATA_LOOKUP[chunk_ops]
         # TRUNCATE CVs are invalidated via their DDL marker, never
-        # journaled: the system xid they carry has no commit, so an
-        # anchor for it would leak (see _sniff_data).
+        # journaled: the IMCU drop rides the marker (processed at
+        # QuerySCN advancement), and the system xid the block-wipe CV
+        # carries never commits, so an anchor for it would pin the
+        # journal floor forever.
         data_mask &= chunk_ops != OP_CODE[CVOp.TRUNCATE]
         if data_mask.any():
             enabled = self.imcs.enabled_object_ids
@@ -382,14 +297,14 @@ class MiningComponent:
             self._ddl_markers_mined.inc()
             return True
         if cv.op is CVOp.TXN_COMMIT:
-            return self._sniff_commit_deferred(cv, chunk, owner)
+            return self._sniff_commit(cv, chunk, owner)
         return self._sniff_control(cv, scn, owner)
 
-    def _sniff_commit_deferred(
+    def _sniff_commit(
         self, cv: ChangeVector, chunk: CVChunk, owner: object
     ) -> bool:
-        """Like :meth:`_sniff_commit`, but the built node lands on the
-        chunk's ``pending_commits`` instead of the commit table."""
+        """Build the commit-table node for a mined commit record; it lands
+        on the chunk's ``pending_commits`` (inserted once per chunk)."""
         payload: CommitPayload = cv.payload
         acquired, anchor = self.journal.get(cv.xid, owner)
         if not acquired:
@@ -403,10 +318,20 @@ class MiningComponent:
                 tenant=cv.tenant,
             )
         else:
+            # Missing 'transaction begin': mined state predates an instance
+            # restart (paper, III-E).  The commit-record flag decides:
+            #   False      -> transaction touched no IMCS object; skip.
+            #   True/None  -> coarse invalidation of the tenant's IMCUs
+            #                 (None = no specialized redo: be pessimistic).
             if payload.modifies_imcs is False:
                 self._control_records_mined.inc()
                 return True
             if self.tail_mode:
+                # Instant-restart tail replay: a commit whose begin lies
+                # below the tail floor belongs to a transaction whose
+                # invalidations were flushed into the checkpointed masks
+                # before capture (see repro.restart.replay) -- skipping is
+                # exact, not pessimistic.
                 self._tail_commits_skipped.inc()
                 self._control_records_mined.inc()
                 return True
@@ -423,45 +348,6 @@ class MiningComponent:
         chunk.pending_commits.append(node)
         self._control_records_mined.inc()
         return True
-
-    # ------------------------------------------------------------------
-    def _sniff_data(
-        self, cv: ChangeVector, scn: SCN, worker_id: WorkerId, owner: object
-    ) -> bool:
-        if not self.imcs.is_enabled(cv.object_id):
-            return True  # not populated here: nothing to maintain
-        if cv.op is CVOp.TRUNCATE:
-            # The IMCU drop rides the TRUNCATE's DDL marker (processed at
-            # QuerySCN advancement); journaling the block-wipe CV here
-            # would anchor it under the system xid -- which never
-            # commits, so the anchor would pin the journal floor forever.
-            return True
-        slots = self._changed_slots(cv)
-        anchor = self.journal.get_or_create(cv.xid, cv.tenant, owner)
-        if anchor is None:
-            self._latch_misses.inc()
-            return False
-        anchor.add(
-            worker_id,
-            InvalidationRecord(
-                object_id=cv.object_id,
-                dba=cv.dba,
-                slots=slots,
-                tenant=cv.tenant,
-                scn=scn,
-            ),
-        )
-        self._data_records_mined.inc()
-        return True
-
-    @staticmethod
-    def _changed_slots(cv: ChangeVector) -> tuple[int, ...]:
-        payload = cv.payload
-        if isinstance(payload, (InsertPayload, UpdatePayload, DeletePayload)):
-            return (payload.slot,)
-        if isinstance(payload, TruncatePayload):
-            return ()  # whole block
-        return ()
 
     def clear(self) -> None:
         """Reset statistics (state lives in the journal/tables)."""

@@ -102,7 +102,6 @@ class FleetDeployment:
                 [(m.name, m.standby.receiver) for m in members],
                 latency=config.ship_latency,
                 node=primary.instances[log.thread - 1].node,
-                columnar=config.apply.ingest == "batched",
             )
             sched.add_actor(shipper)
             fleet.shippers.append(shipper)

@@ -38,6 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from repro import obs
 from repro.adg.apply import ApplyDistributor, RecoveryWorker
 from repro.adg.merger import LogMerger
@@ -48,7 +50,7 @@ from repro.common.latch import QuiesceLock
 from repro.common.scn import SCN
 from repro.dbim_adg.commit_table import CommitTableNode, IMADGCommitTable
 from repro.dbim_adg.ddl import DDLInformationTable
-from repro.dbim_adg.flush import InvalidationGroup
+from repro.dbim_adg.flush import InvalidationGroup, gather_groups
 from repro.dbim_adg.journal import IMADGJournal
 from repro.dbim_adg.mining import MiningComponent
 from repro.imcs.population import PopulationEngine, PopulationWorker
@@ -57,7 +59,8 @@ from repro.imcs.store import InMemoryColumnStore
 from repro.rac.cluster import MergedStoreView, RemoteInvalidationRouter
 from repro.rac.home_location import HomeLocationMap
 from repro.rac.messaging import Interconnect
-from repro.redo.records import ChangeVector, DDLMarkerPayload, RedoRecord
+from repro.redo.batch import CVBatch
+from repro.redo.records import ChangeVector, DDLMarkerPayload
 from repro.redo.shipping import LogShipper, RedoReceiver
 from repro.sim.cpu import CpuNode
 from repro.sim.scheduler import Actor, Scheduler
@@ -86,20 +89,11 @@ class _FilteredDistributor(ApplyDistributor):
         self._owns = owns
         self._cvs_skipped = obs.counter("rac.mira.cvs_skipped")
 
-    def distribute(self, records: list[RedoRecord]) -> int:
-        routed = 0
-        skipped = 0
-        for record in records:
-            for cv in record.cvs:
-                if self._owns(cv):
-                    self.queues[self.worker_for(cv)].append((record.scn, cv))
-                    routed += 1
-                else:
-                    skipped += 1
-            if record.scn > self.distributed_through:
-                self.distributed_through = record.scn
-        if skipped:
-            self._cvs_skipped.inc(skipped)
+    def _distribute_batch(self, batch: CVBatch) -> int:
+        owned = np.fromiter(map(self._owns, batch.cvs), bool, batch.n_cvs)
+        routed = self._enqueue(batch, np.nonzero(owned)[0])
+        if batch.n_cvs > routed:
+            self._cvs_skipped.inc(batch.n_cvs - routed)
         return routed
 
 
@@ -142,7 +136,7 @@ class MIRAApplyInstance:
                 i,
                 self.distributor,
                 applier=applier,
-                sniffer=self.miner.sniff,
+                batch_sniffer=self.miner.sniff_chunk,
                 batch=apply_cfg.worker_batch,
                 node=self.node,
                 cost_per_cv=apply_cfg.apply_cost_per_cv,
@@ -198,7 +192,7 @@ class MIRAApplyInstance:
 
 
 class _InstancePump(Actor):
-    """Moves merged records into an instance's (filtering) distributor."""
+    """Moves merged batches into an instance's (filtering) distributor."""
 
     def __init__(self, instance: MIRAApplyInstance, batch: int = 512) -> None:
         self.instance = instance
@@ -207,10 +201,10 @@ class _InstancePump(Actor):
         self.node = instance.node
 
     def step(self, sched: Scheduler) -> Optional[float]:
-        records = self.instance.merger.take_merged(self.batch)
-        if not records:
+        batches = self.instance.merger.take_merged(self.batch)
+        if not batches:
             return None
-        routed = self.instance.distributor.distribute(records)
+        routed = self.instance.distributor.distribute(batches)
         return 1e-6 + 1e-7 * routed
 
 
@@ -321,8 +315,7 @@ class MIRACoordinator(Actor):
         if node.coarse:
             cluster.router.route_coarse(node.tenant, node.commit_scn)
         else:
-            groups = self._gather_groups(node)
-            for group in groups:
+            for group in self._gather_groups(node):
                 cluster.router.route(group)
         for instance in cluster.instances:
             # bounded retry + latch recovery: a holder observed here can
@@ -335,37 +328,19 @@ class MIRACoordinator(Actor):
     def _gather_groups(self, node: CommitTableNode) -> list[InvalidationGroup]:
         """Collect the transaction's records from *every* instance's
         journal -- the MIRA-specific twist: data CVs were mined wherever
-        they were applied."""
-        cluster = self.cluster
-        groups: dict[ObjectId, InvalidationGroup] = {}
+        they were applied.  One group per object (no block limit)."""
+        anchors = []
         gathered_remote = False
-        for instance in cluster.instances:
+        for instance in self.cluster.instances:
             anchor = instance.journal.get_with_recovery(node.xid, self)
             if anchor is None:
                 continue
+            anchors.append(anchor)
             if instance.instance_id != node.xid.instance and anchor.n_records:
                 gathered_remote = True
-            for record in anchor.all_records():
-                group = groups.get(record.object_id)
-                if group is None:
-                    group = InvalidationGroup(
-                        object_id=record.object_id,
-                        tenant=record.tenant,
-                        commit_scn=node.commit_scn,
-                    )
-                    groups[record.object_id] = group
-                existing = group.blocks.get(record.dba)
-                if existing is None:
-                    group.blocks[record.dba] = record.slots
-                elif existing == () or record.slots == ():
-                    group.blocks[record.dba] = ()
-                else:
-                    group.blocks[record.dba] = tuple(
-                        sorted(set(existing) | set(record.slots))
-                    )
         if gathered_remote:
             self._cross_instance_gathers.inc()
-        return list(groups.values())
+        return gather_groups(anchors, node.commit_scn)
 
     def _process_ddl(self, target: SCN) -> None:
         cluster = self.cluster

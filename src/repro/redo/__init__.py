@@ -3,7 +3,8 @@
 The redo stream is the *only* channel between the primary and the standby:
 every row change, transaction state change and DDL travels as change
 vectors inside SCN-stamped redo records (section II-A of the paper).  The
-DBIM-on-ADG mining component later sniffs exactly these structures.
+shipper transposes each run of records once into a columnar ``CVBatch``,
+the unit the standby merges, applies and mines.
 """
 
 from repro.redo.records import (
@@ -21,6 +22,7 @@ from repro.redo.records import (
     ddl_marker_dba,
     truncate_dba,
 )
+from repro.redo.batch import CVBatch, CVChunk
 from repro.redo.log import RedoLog, LogReader
 from repro.redo.shipping import FanOutLogShipper, LogShipper, RedoReceiver
 
@@ -38,6 +40,8 @@ __all__ = [
     "txn_table_dba",
     "ddl_marker_dba",
     "truncate_dba",
+    "CVBatch",
+    "CVChunk",
     "RedoLog",
     "LogReader",
     "FanOutLogShipper",

@@ -1,15 +1,10 @@
-"""Columnar change-vector batches: the vectorized ingest unit of work.
+"""Columnar change-vector batches: the unit of redo flow on the standby.
 
-The read side of this repro was vectorized twice (scan kernels, encoded-
-domain kernels) while the ingest side still walked one
-:class:`~repro.redo.records.ChangeVector` dataclass at a time from the
-wire to the column store.  :class:`CVBatch` closes that gap: a shipment's
-records are transposed **once**, at the shipper, into struct-of-arrays
-form (scn/dba/object-id/op-code/xid/tenant/slot numpy arrays) and the
-arrays travel through delivery, merge, distribution, mining and flush.
-Everything that used to be a per-CV Python attribute walk -- worker
-hashing, xid grouping, enabled-object filtering, slot extraction --
-becomes one numpy operation per batch.
+A shipment's records are transposed **once**, at the shipper, into
+struct-of-arrays form (scn/dba/object-id/op-code/xid/tenant/slot numpy
+arrays) and the arrays travel through delivery, merge, distribution,
+mining and flush.  Worker hashing, xid grouping, enabled-object filtering
+and slot extraction are each one numpy operation per batch.
 
 The original ``ChangeVector`` objects ride along as the **payload
 side-table** (``cvs``): physical apply still needs the payload tuples,
@@ -17,14 +12,12 @@ and keeping the original objects preserves ``id(cv)`` identity, which the
 instant-restart tail replay uses to exclude still-queued CVs.
 
 Record boundaries are kept (``record_starts`` / ``record_scns``) so a
-batch can be *split* wherever record-at-a-time semantics demand it:
-duplicate-prefix discard at the receiver, watermark cuts at the merger.
-Chaos drop/delay decisions are taken per shipment with the same event
-context as record mode, so fault granularity is unchanged.
+batch can be *split* wherever record semantics demand it: duplicate-
+prefix discard at the receiver, watermark cuts at the merger.  Chaos
+drop/delay decisions are taken per shipment.
 
 :class:`CVChunk` is the per-worker view of one distributed batch: an
-index array into the batch plus apply/mine progress cursors, replacing
-the per-CV ``(scn, cv)`` tuples in worker queues.
+index array into the batch plus apply/mine progress cursors.
 """
 
 from __future__ import annotations
@@ -49,8 +42,8 @@ from repro.redo.records import (
 OP_CODE: dict[CVOp, int] = {op: i for i, op in enumerate(CVOp)}
 OPS_BY_CODE: tuple[CVOp, ...] = tuple(CVOp)
 
-#: Data ops the miner bulk-ingests (everything :meth:`_sniff_data`
-#: covers); UNDO/HEARTBEAT carry nothing minable.
+#: Data ops the miner bulk-ingests; UNDO/HEARTBEAT carry nothing
+#: minable.
 BULK_DATA_CODES = frozenset(
     OP_CODE[op]
     for op in (CVOp.INSERT, CVOp.UPDATE, CVOp.DELETE, CVOp.TRUNCATE)
@@ -306,10 +299,9 @@ class CVChunk:
     ``indices`` selects this worker's CVs (in SCN order) out of the
     batch; ``pos`` is the apply cursor and ``mined_pos`` the mining
     cursor.  The whole chunk is mined before any of it is applied (the
-    chunk-scale analogue of the per-CV sniff-then-apply discipline);
+    paper's sniff-then-apply discipline at chunk scale);
     ``mined_xids`` and ``pending_commits`` carry partial bulk-mine
-    progress across latch-miss retries, mirroring the worker's
-    ``_head_sniffed`` flag at batch scale.
+    progress across latch-miss retries, so no CV is mined twice.
     """
 
     __slots__ = (

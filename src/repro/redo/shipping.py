@@ -1,7 +1,8 @@
 """Redo transport: primary -> standby over a simulated network.
 
 One :class:`LogShipper` actor per primary redo thread tails that thread's
-log and sends batches of records to the standby's :class:`RedoReceiver`
+log and ships each run of new records -- transposed once into a columnar
+:class:`~repro.redo.batch.CVBatch` -- to the standby's :class:`RedoReceiver`
 with a configurable one-way latency (the paper: "the Primary communicates
 with the Standby database over a network protocol like TCP/IP").  The
 receiver buffers per-thread queues that the standby's log merger consumes.
@@ -45,9 +46,8 @@ class RedoReceiver:
     batches_dropped = obs.view("_batches_dropped")
 
     def __init__(self, fal_fetch=None) -> None:
-        #: Per-thread landing queues; items are RedoRecords or CVBatches
-        #: (FAL-healed redo always lands as records, so queues can mix).
-        self._queues: dict[InstanceId, deque] = {}
+        #: Per-thread landing queues of CVBatches.
+        self._queues: dict[InstanceId, deque[CVBatch]] = {}
         #: Highest SCN received per thread (for lag measurement).
         self.received_scn: dict[InstanceId, SCN] = {}
         #: Next expected log position per thread (gap detection).
@@ -81,33 +81,26 @@ class RedoReceiver:
 
     def deliver(
         self,
-        records: "list[RedoRecord] | CVBatch",
+        batch: CVBatch,
         position: int | None = None,
         thread: InstanceId | None = None,
     ) -> None:
-        """Land a shipment: a record list or a columnar :class:`CVBatch`.
+        """Land a shipment.
 
         ``position`` is the shipment's starting position in its thread's
         log; None disables gap tracking (direct test use).  An empty
         tracked shipment must name its ``thread`` explicitly so gap
-        tracking can still advance.  Batched shipments see identical
-        chaos-event context and gap/duplicate handling as record lists --
-        a duplicate prefix is discarded by *splitting* the batch at the
-        record boundary.
+        tracking can still advance.  A duplicate prefix is discarded by
+        *splitting* the batch at the record boundary.
         """
-        batch: Optional[CVBatch] = None
-        if isinstance(records, CVBatch):
-            batch = records
-            count = batch.n_records
-            first_thread = batch.thread if count else thread
-        else:
-            count = len(records)
-            first_thread = records[0].thread if count else thread
+        count = batch.n_records
+        if count:
+            thread = batch.thread
         chaos = self._chaos
         if chaos.injectors is not None:
             decision = chaos.consult(
                 "deliver",
-                thread=first_thread,
+                thread=thread,
                 position=position,
                 count=count,
             )
@@ -115,9 +108,7 @@ class RedoReceiver:
                 self._batches_dropped.inc()
                 return
         if position is not None:
-            if count:
-                thread = first_thread
-            elif thread is None:
+            if thread is None:
                 raise ValueError(
                     "empty tracked shipment: gap tracking needs an "
                     "explicit thread"
@@ -133,32 +124,26 @@ class RedoReceiver:
                 # prefix up to the watermark already landed -- discard it
                 already = min(expected - position, count)
                 self._duplicates_discarded.inc(already)
-                if batch is not None:
-                    batch = batch.slice_records(already, count)
-                else:
-                    records = records[already:]
+                batch = batch.slice_records(already, count)
                 count -= already
                 position = expected
             self._expected_position[thread] = position + count
             self.records_landed[thread] += count
+        if count:
+            self._land(batch)
+
+    def _land(self, batch: CVBatch) -> None:
+        self._queues[batch.thread].append(batch)
+        if batch.last_scn > self.received_scn[batch.thread]:
+            self.received_scn[batch.thread] = batch.last_scn
         tracer = obs.tracer_of(self._obs)
-        if batch is not None:
-            if count:
-                self._queues[batch.thread].append(batch)
-                if batch.last_scn > self.received_scn[batch.thread]:
-                    self.received_scn[batch.thread] = batch.last_scn
-                if tracer is not None:
-                    for view in batch.record_views():
-                        tracer.record_received(view)
-            return
-        for record in records:
-            self._queues[record.thread].append(record)
-            if record.scn > self.received_scn[record.thread]:
-                self.received_scn[record.thread] = record.scn
-            if tracer is not None:
-                tracer.record_received(record)
+        if tracer is not None:
+            for view in batch.record_views():
+                tracer.record_received(view)
 
     def _resolve_gap(self, thread: InstanceId, lo: int, hi: int) -> None:
+        """FAL-heal positions [lo, hi): the answer lands as one CVBatch
+        per thread, each in fetch order."""
         if self.fal_fetch is None:
             raise RuntimeError(
                 f"archive gap on thread {thread}: positions [{lo}, {hi}) "
@@ -169,20 +154,17 @@ class RedoReceiver:
             raise RuntimeError(
                 f"FAL returned {len(fetched)} records for gap of {hi - lo}"
             )
-        tracer = obs.tracer_of(self._obs)
+        by_thread: dict[InstanceId, list[RedoRecord]] = {}
         for record in fetched:
-            if record.thread not in self._queues:
-                # FAL answered with redo from a thread this receiver has
-                # not yet registered (a late-added primary instance whose
-                # first shipment is still in flight): land it rather than
-                # KeyError -- gap accounting below still charges the
-                # thread whose gap triggered the fetch.
-                self.register_thread(record.thread)
-            self._queues[record.thread].append(record)
-            if record.scn > self.received_scn[record.thread]:
-                self.received_scn[record.thread] = record.scn
-            if tracer is not None:
-                tracer.record_received(record)
+            by_thread.setdefault(record.thread, []).append(record)
+        for fetched_thread, records in by_thread.items():
+            # FAL may answer with redo from a thread this receiver has
+            # not yet registered (a late-added primary instance whose
+            # first shipment is still in flight): land it rather than
+            # KeyError -- gap accounting below still charges the thread
+            # whose gap triggered the fetch.
+            self.register_thread(fetched_thread)
+            self._land(CVBatch.from_records(records))
         self.records_landed[thread] += hi - lo
         self._gaps_resolved.inc()
         self._gap_records_fetched.inc(hi - lo)
@@ -219,16 +201,12 @@ class LogShipper(Actor):
         batch: int = 256,
         node: Optional[CpuNode] = None,
         name: Optional[str] = None,
-        columnar: bool = False,
     ) -> None:
         self._reader: LogReader = log.reader()
         self._receiver = receiver
         self.latency = latency
         self.batch = batch
         self.node = node
-        #: Ship columnar CVBatches instead of record lists (vectorized
-        #: ingest); chaos decisions are per shipment in both modes.
-        self.columnar = columnar
         self.name = name or f"shipper-t{log.thread}"
         self._obs = obs.current()
         self._records_dropped = obs.counter(
@@ -253,9 +231,7 @@ class LogShipper(Actor):
             return None
         receiver = self._receiver
         latency = self.latency
-        payload = (
-            CVBatch.from_records(records) if self.columnar else records
-        )
+        payload = CVBatch.from_records(records)
         chaos = self._chaos
         if chaos.injectors is not None:
             decision = chaos.consult(
@@ -310,7 +286,6 @@ class FanOutLogShipper(Actor):
         batch: int = 256,
         node: Optional[CpuNode] = None,
         name: Optional[str] = None,
-        columnar: bool = False,
     ) -> None:
         self._reader: LogReader = log.reader()
         self.thread = log.thread
@@ -318,9 +293,6 @@ class FanOutLogShipper(Actor):
         self.latency = latency
         self.batch = batch
         self.node = node
-        #: Ship one shared columnar CVBatch to every member (arrays are
-        #: immutable in flight; per-member chaos still decides per copy).
-        self.columnar = columnar
         self.name = name or f"fanout-shipper-t{log.thread}"
         self._obs = obs.current()
         self._records_dropped = obs.counter(
@@ -357,9 +329,9 @@ class FanOutLogShipper(Actor):
         if tracer is not None:
             for record in records:
                 tracer.record_shipped(record)
-        payload = (
-            CVBatch.from_records(records) if self.columnar else records
-        )
+        # one shared batch for every member: its arrays are never
+        # mutated in flight, and per-member chaos still decides per copy
+        payload = CVBatch.from_records(records)
         chaos = self._chaos
         for dest, receiver in self._destinations.items():
             latency = self.latency

@@ -31,8 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
+import numpy as np
+
 from repro.common.config import RestartConfig
 from repro.common.scn import SCN
+from repro.redo.batch import CVBatch, CVChunk
 from repro.redo.records import RedoRecord
 from repro.restart.checkpoint import CheckpointStore, rebuild_imcu
 
@@ -125,26 +128,31 @@ def replay_tail(
     report.tail_end_scn = tail_end
     if floor == 0 or tail_end < floor:
         return
+    records = fetch(floor, tail_end)
+    if not records:
+        return
     queued = set(map(id, standby.distributor.queued_cvs()))
+    # one chunk over the whole tail: its records may span redo threads,
+    # which is fine because the miner reads only the per-CV columns
+    batch = CVBatch.from_records(records)
+    keep = np.fromiter(
+        (id(cv) not in queued for cv in batch.cvs), bool, batch.n_cvs
+    )
+    report.cvs_skipped_queued += batch.n_cvs - int(keep.sum())
+    chunk = CVChunk(batch, np.nonzero(keep)[0])
     miner = standby.miner
     miner.tail_mode = True
     try:
-        for record in fetch(floor, tail_end):
-            for cv in record.cvs:
-                if id(cv) in queued:
-                    report.cvs_skipped_queued += 1
-                    continue
-                # fresh journal, no concurrent actors: a sniff can only
-                # miss on a same-step recursive latch edge, which cannot
-                # occur here -- but stay defensive and bound the retries.
-                for __ in range(3):
-                    if miner.sniff(cv, record.scn, 0, _TAIL_OWNER):
-                        break
-                else:
-                    raise AssertionError(
-                        "tail replay latch miss on an idle journal"
-                    )
-                report.cvs_remined += 1
+        # fresh journal, no concurrent actors: a sniff can only miss on a
+        # same-step recursive latch edge, which cannot occur here -- but
+        # stay defensive and bound the retries (a retry resumes from the
+        # chunk's partial progress).
+        for __ in range(3):
+            if miner.sniff_chunk(chunk, 0, _TAIL_OWNER):
+                break
+        else:
+            raise AssertionError("tail replay latch miss on an idle journal")
+        report.cvs_remined += chunk.n_cvs
     finally:
         miner.tail_mode = False
 

@@ -13,6 +13,7 @@ from repro.adg import (
 from repro.chaos import sites
 from repro.common import InvalidStateError, QuiesceLock, TransactionId
 from repro.redo import (
+    CVBatch,
     ChangeVector,
     CVOp,
     InsertPayload,
@@ -37,23 +38,54 @@ def rec(scn, dba, thread=1):
     return RedoRecord(scn, thread, (cv,))
 
 
+def ship(records):
+    """One shipment: the records transposed into a CVBatch."""
+    return CVBatch.from_records(records)
+
+
+def queued_scns(queue):
+    """SCNs of the CVs on one worker queue, in apply order."""
+    return [
+        int(chunk.batch.scns[i]) for chunk in queue for i in chunk.indices
+    ]
+
+
+def mining_stub(log, misses=0):
+    """A batch sniffer that misses the latch ``misses`` times, then marks
+    each chunk mined, logging the SCNs it mined."""
+    state = {"misses": misses}
+
+    def sniff_chunk(chunk, worker_id, owner):
+        if state["misses"]:
+            state["misses"] -= 1
+            return False
+        for i in chunk.indices[chunk.mined_pos:]:
+            log.append(int(chunk.batch.scns[i]))
+        chunk.mined_pos = len(chunk.indices)
+        return True
+
+    return sniff_chunk
+
+
 class TestDistributor:
     def test_same_dba_always_same_worker(self):
         distributor = ApplyDistributor(4)
         records = [rec(scn, dba=7) for scn in range(10, 20)]
-        distributor.distribute(records)
+        distributor.distribute([ship(records)])
         non_empty = [q for q in distributor.queues if q]
         assert len(non_empty) == 1
-        assert [scn for scn, __ in non_empty[0]] == list(range(10, 20))
+        assert queued_scns(non_empty[0]) == list(range(10, 20))
 
     def test_spreads_dbas_across_workers(self):
         distributor = ApplyDistributor(4)
-        distributor.distribute([rec(10 + d, dba=d) for d in range(64)])
+        distributor.distribute(
+            [ship([rec(10 + d, dba=d) for d in range(64)])]
+        )
         assert sum(1 for q in distributor.queues if q) == 4
 
     def test_distributed_through_tracks_max_scn(self):
         distributor = ApplyDistributor(2)
-        distributor.distribute([rec(10, 1), rec(15, 2)])
+        distributor.distribute([ship([rec(10, 1), rec(15, 2)])])
         assert distributor.distributed_through == 15
 
 
@@ -62,7 +94,9 @@ class TestRecoveryWorker:
         distributor = ApplyDistributor(1)
         applier = RecordingApplier()
         worker = RecoveryWorker(0, distributor, applier)
-        distributor.distribute([rec(s, dba=1) for s in (10, 11, 12)])
+        distributor.distribute(
+            [ship([rec(s, dba=1) for s in (10, 11, 12)])]
+        )
         sched = Scheduler()
         sched.add_actor(worker)
         sched.run_until(0.1)
@@ -73,7 +107,7 @@ class TestRecoveryWorker:
         distributor = ApplyDistributor(2)
         applier = RecordingApplier()
         w0 = RecoveryWorker(0, distributor, applier)
-        distributor.distribute([rec(50, dba=1)])
+        distributor.distribute([ship([rec(50, dba=1)])])
         # whichever worker got nothing reports distributed_through
         empty = w0 if not distributor.queues[0] else None
         if empty is not None:
@@ -82,25 +116,29 @@ class TestRecoveryWorker:
     def test_applied_through_with_backlog(self):
         distributor = ApplyDistributor(1)
         worker = RecoveryWorker(0, distributor, RecordingApplier())
-        distributor.distribute([rec(50, dba=1)])
+        distributor.distribute([ship([rec(50, dba=1)])])
         assert worker.applied_through() == 49
 
     def test_sniffer_latch_miss_stops_batch(self):
+        """A latch miss ends the worker's step before anything applies;
+        the chunk is retried next step and mined and applied once."""
         distributor = ApplyDistributor(1)
         applier = RecordingApplier()
-        attempts = {"n": 0}
-
-        def sniffer(cv, scn, worker_id, owner):
-            attempts["n"] += 1
-            return attempts["n"] > 2  # first two tries miss the latch
-
-        worker = RecoveryWorker(0, distributor, applier, sniffer=sniffer)
-        distributor.distribute([rec(10, dba=1)])
+        mined = []
+        worker = RecoveryWorker(
+            0, distributor, applier,
+            batch_sniffer=mining_stub(mined, misses=2),
+        )
+        distributor.distribute([ship([rec(10, dba=1)])])
+        distributor.distribute([ship([rec(11, dba=1)])])
         sched = Scheduler()
         sched.add_actor(worker)
+        sched.run_steps(1)
+        assert worker.sniff_retries == 1 and applier.applied == []
         sched.run_until(0.1)
         assert worker.sniff_retries == 2
-        assert len(applier.applied) == 1  # eventually applied exactly once
+        assert [scn for scn, __ in applier.applied] == [10, 11]
+        assert mined == [10, 11]  # each chunk mined exactly once
 
     def test_flush_helper_called_each_step(self):
         distributor = ApplyDistributor(1)
@@ -109,7 +147,7 @@ class TestRecoveryWorker:
             0, distributor, RecordingApplier(),
             flush_helper=lambda wid, batch: calls.append((wid, batch)) or 0,
         )
-        distributor.distribute([rec(10, dba=1)])
+        distributor.distribute([ship([rec(10, dba=1)])])
         sched = Scheduler()
         sched.add_actor(worker)
         sched.run_steps(1)
@@ -203,7 +241,9 @@ def build_pipeline(n_workers=2, worker_speeds=None):
 class TestCoordinator:
     def test_queryscn_reaches_applied_scn(self):
         receiver, merger, query_scn, coord, sched, applier = build_pipeline()
-        receiver.deliver([rec(scn, dba=scn % 7) for scn in range(10, 110)])
+        receiver.deliver(
+            ship([rec(scn, dba=scn % 7) for scn in range(10, 110)])
+        )
         sched.run_until(1.0)
         assert query_scn.value == 109
         assert len(applier.applied) == 100
@@ -213,7 +253,9 @@ class TestCoordinator:
         receiver, merger, query_scn, coord, sched, applier = build_pipeline(
             n_workers=4, worker_speeds=[1.0, 30.0, 1.0, 15.0]
         )
-        receiver.deliver([rec(scn, dba=scn) for scn in range(10, 510)])
+        receiver.deliver(
+            ship([rec(scn, dba=scn) for scn in range(10, 510)])
+        )
         sched.run_until(2.0)
         published = [scn for __, scn in query_scn.history]
         assert published == sorted(published)
@@ -223,7 +265,9 @@ class TestCoordinator:
 
     def test_consistency_point_bounded_by_slowest_worker(self):
         receiver, merger, query_scn, coord, sched, applier = build_pipeline()
-        receiver.deliver([rec(scn, dba=scn % 5) for scn in range(10, 60)])
+        receiver.deliver(
+            ship([rec(scn, dba=scn % 5) for scn in range(10, 60)])
+        )
         merger.merge_available()
         coord.distributor.distribute(merger.take_merged(1000))
         # nothing applied yet: the point sits below every queued CV
@@ -235,7 +279,7 @@ class TestCoordinator:
         receiver, merger, query_scn, coord, sched, applier = build_pipeline()
         holder = object()
         assert coord.quiesce_lock.try_acquire_shared(holder)
-        receiver.deliver([rec(10, dba=1)])
+        receiver.deliver(ship([rec(10, dba=1)]))
         sched.run_until(0.2)
         assert query_scn.value == 0  # blocked by the population capture
         assert coord.quiesce_wait_retries > 0
@@ -251,7 +295,7 @@ class TestCoordinator:
         receiver, merger, query_scn, coord, sched, applier = build_pipeline()
         holder = object()
         assert coord.quiesce_lock.try_acquire_shared(holder)
-        receiver.deliver([rec(10, dba=1)])
+        receiver.deliver(ship([rec(10, dba=1)]))
         sched.run_until(0.2)
         assert query_scn.value == 0  # postponed behind the holder
         coord.quiesce_lock.release_shared(holder)
@@ -272,7 +316,7 @@ class TestCoordinator:
 
     def test_unstalled_advance_has_equal_raw_and_adjusted_latency(self):
         receiver, merger, query_scn, coord, sched, applier = build_pipeline()
-        receiver.deliver([rec(10, dba=1)])
+        receiver.deliver(ship([rec(10, dba=1)]))
         sched.run_until(0.5)
         assert query_scn.value == 10
         assert coord.publish_stall_time_total == 0.0
@@ -309,7 +353,7 @@ class TestCoordinator:
 
         injector = OneShotDelay()
         registry.install("adg.queryscn_publish", injector)
-        receiver.deliver([rec(10, dba=1)])
+        receiver.deliver(ship([rec(10, dba=1)]))
         sched.run_until(0.5)
         assert query_scn.value == 10
         assert injector.fired_at is not None
@@ -330,7 +374,7 @@ class TestCoordinator:
         ``_last_check`` timestamp, deferring the first post-restart
         consistency-point check by up to a full stale interval."""
         receiver, merger, query_scn, coord, sched, applier = build_pipeline()
-        receiver.deliver([rec(10, dba=1)])
+        receiver.deliver(ship([rec(10, dba=1)]))
         sched.run_until(0.5)
         assert coord._last_check >= 0.0
         coord.reset_advance()
@@ -356,7 +400,7 @@ class TestCoordinator:
 
         receiver, merger, query_scn, coord, sched, applier = build_pipeline()
         coord.advance_protocol = Protocol()
-        receiver.deliver([rec(10, dba=1)])
+        receiver.deliver(ship([rec(10, dba=1)]))
         sched.run_until(0.5)
         assert query_scn.value == 10
         kinds = [k for k, __ in calls]

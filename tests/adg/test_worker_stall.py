@@ -2,15 +2,16 @@
 
 from repro.adg import ApplyDistributor, ApplyStall, RecoveryWorker
 from repro.common import TransactionId
-from repro.redo import ChangeVector, CVOp, InsertPayload, RedoRecord
+from repro.redo import CVBatch, ChangeVector, CVOp, InsertPayload, RedoRecord
 from repro.sim import Scheduler
 
 X = TransactionId(1, 1)
 
 
-def rec(scn, dba=1):
+def ship(*scns, dba=1):
+    """One shipment of single-CV records at ``scns``."""
     cv = ChangeVector(CVOp.INSERT, dba, 9, 0, X, InsertPayload(0, (1,)))
-    return RedoRecord(scn, 1, (cv,))
+    return CVBatch.from_records([RedoRecord(scn, 1, (cv,)) for scn in scns])
 
 
 class StallingApplier:
@@ -32,7 +33,7 @@ def test_stalled_cv_retries_until_applied():
     distributor = ApplyDistributor(1)
     applier = StallingApplier(stalls=3)
     worker = RecoveryWorker(0, distributor, applier)
-    distributor.distribute([rec(10), rec(11)])
+    distributor.distribute([ship(10, 11)])
     sched = Scheduler()
     sched.add_actor(worker)
     sched.run_until(0.1)
@@ -46,12 +47,14 @@ def test_stalled_cv_is_sniffed_exactly_once():
     applier = StallingApplier(stalls=4)
     sniffed = []
 
-    def sniffer(cv, scn, worker_id, owner):
-        sniffed.append(scn)
+    def sniff_chunk(chunk, worker_id, owner):
+        for i in chunk.indices[chunk.mined_pos:]:
+            sniffed.append(int(chunk.batch.scns[i]))
+        chunk.mined_pos = len(chunk.indices)
         return True
 
-    worker = RecoveryWorker(0, distributor, applier, sniffer=sniffer)
-    distributor.distribute([rec(10)])
+    worker = RecoveryWorker(0, distributor, applier, batch_sniffer=sniff_chunk)
+    distributor.distribute([ship(10)])
     sched = Scheduler()
     sched.add_actor(worker)
     sched.run_until(0.1)
@@ -63,7 +66,7 @@ def test_stall_blocks_consistency_progress():
     distributor = ApplyDistributor(1)
     applier = StallingApplier(stalls=10**9)  # never succeeds
     worker = RecoveryWorker(0, distributor, applier)
-    distributor.distribute([rec(10)])
+    distributor.distribute([ship(10)])
     sched = Scheduler()
     sched.add_actor(worker)
     sched.run_until(0.05)

@@ -1,10 +1,13 @@
-"""Regression tests for invalidation-group gathering (`_gather_groups`),
+"""Regression tests for invalidation-group gathering (`gather_groups`),
 the journal-latch livelock in `_flush_one`, and commit-table chop order.
 
 The gathering bug: when a group reached ``group_block_limit``, a record
 for a DBA *already present* in the full group used to spawn a fresh
 group instead of merging -- splitting one block's slot set across groups
-(defeating whole-block-wins) and routing the DBA twice.
+(defeating whole-block-wins) and routing the DBA twice.  Each case here
+buffers every record as its own slice, spread over several workers'
+areas, so one DBA's records sit in different slices -- as they do when
+several workers mine one transaction.
 """
 
 from __future__ import annotations
@@ -17,10 +20,13 @@ from repro.dbim_adg import (
     IMADGCommitTable,
     IMADGJournal,
     InvalidationFlushComponent,
+    gather_groups,
 )
 from repro.dbim_adg.commit_table import CommitTableNode
-from repro.dbim_adg.journal import AnchorNode, InvalidationRecord
+from repro.dbim_adg.journal import AnchorNode
 from repro.imcs import InMemoryColumnStore
+
+from tests.dbim_adg.helpers import WHOLE_BLOCK, add_records
 
 XID = TransactionId(1, 7)
 
@@ -38,18 +44,26 @@ def make_flush(group_block_limit=64):
 
 
 def node_with_records(records, commit_scn=100):
+    """A committed node whose anchor buffers each record as its own
+    slice, spread round-robin over three workers' areas."""
     anchor = AnchorNode(xid=XID, tenant=0, has_begin=True)
-    for i, record in enumerate(records):
-        anchor.add(worker_id=0, record=record)
+    for i, rows in enumerate(records):
+        add_records(anchor, i % 3, rows)
     return CommitTableNode(
         xid=XID, commit_scn=commit_scn, anchor=anchor, tenant=0
     )
 
 
 def rec(dba, slots, object_id=900, scn=50):
-    return InvalidationRecord(
-        object_id=object_id, dba=dba, slots=tuple(slots), tenant=0, scn=scn
-    )
+    """One mined record's rows: a slot list, or () for the whole block."""
+    return [(object_id, dba, slot, scn) for slot in slots] or [
+        (object_id, dba, WHOLE_BLOCK, scn)
+    ]
+
+
+def gather(flush, node):
+    return gather_groups([node.anchor], node.commit_scn,
+                         flush.group_block_limit)
 
 
 def dba_assignments(groups):
@@ -71,7 +85,7 @@ class TestGatherGroups:
             rec(2, (5,)),      # group now at the limit
             rec(1, ()),        # whole-block for an already-placed DBA
         ])
-        groups = flush._gather_groups(node)
+        groups = gather(flush, node)
         assert len(groups) == 1
         assert groups[0].blocks == {1: (), 2: (5,)}
 
@@ -81,7 +95,7 @@ class TestGatherGroups:
         for round_ in range(3):
             for dba in (1, 2, 3, 4, 5):
                 records.append(rec(dba, (round_,)))
-        groups = flush._gather_groups(node_with_records(records))
+        groups = gather(flush, node_with_records(records))
         where = dba_assignments(groups)
         doubled = {k: len(v) for k, v in where.items() if len(v) > 1}
         assert not doubled, f"DBAs routed twice: {doubled}"
@@ -92,7 +106,7 @@ class TestGatherGroups:
 
     def test_limit_one_one_group_per_dba(self):
         __, flush = make_flush(group_block_limit=1)
-        groups = flush._gather_groups(node_with_records([
+        groups = gather(flush, node_with_records([
             rec(1, (0,)), rec(2, (0,)), rec(1, (3,)), rec(3, ()),
             rec(2, ()),
         ]))
@@ -109,7 +123,7 @@ class TestGatherGroups:
         whole-block records for DBAs of the *first* group must still
         reach the first group."""
         __, flush = make_flush(group_block_limit=2)
-        groups = flush._gather_groups(node_with_records([
+        groups = gather(flush, node_with_records([
             rec(1, (1,)), rec(2, (2,)),   # group A (full)
             rec(3, (3,)),                 # group B (split point)
             rec(1, ()),                   # must merge into A
@@ -122,7 +136,7 @@ class TestGatherGroups:
 
     def test_groups_split_per_object_independently(self):
         __, flush = make_flush(group_block_limit=2)
-        groups = flush._gather_groups(node_with_records([
+        groups = gather(flush, node_with_records([
             rec(1, (0,), object_id=900),
             rec(1, (0,), object_id=901),
             rec(2, (0,), object_id=900),

@@ -7,16 +7,17 @@ from repro.dbim_adg import (
     CommitTableNode,
     IMADGCommitTable,
     IMADGJournal,
-    InvalidationRecord,
 )
+
+from tests.dbim_adg.helpers import add_records
 
 
 def xid(n):
     return TransactionId(1, n)
 
 
-def record(obj=9, dba=5, slots=(0,), scn=10):
-    return InvalidationRecord(obj, dba, slots, tenant=0, scn=scn)
+def record(obj=9, dba=5, slot=0, scn=10):
+    return (obj, dba, slot, scn)
 
 
 class TestJournal:
@@ -32,12 +33,15 @@ class TestJournal:
     def test_per_worker_areas_accumulate_without_latch(self):
         journal = IMADGJournal(8)
         anchor = journal.get_or_create(xid(1), 0, object())
-        anchor.add(0, record(scn=10))
-        anchor.add(1, record(scn=11))
-        anchor.add(0, record(scn=12))
+        add_records(anchor, 0, [record(scn=10)])
+        add_records(anchor, 1, [record(scn=11)])
+        add_records(anchor, 0, [record(scn=12)])
         assert anchor.n_records == 3
-        assert len(anchor.worker_records) == 2
-        assert {r.scn for r in anchor.all_records()} == {10, 11, 12}
+        assert len(anchor.worker_chunks) == 2
+        assert len(anchor.worker_chunks[0]) == 2
+        assert {
+            int(s) for chunk in anchor.chunks() for s in chunk.scns
+        } == {10, 11, 12}
 
     def test_latch_miss_returns_none(self):
         journal = IMADGJournal(1)  # single bucket: guaranteed collision
@@ -64,7 +68,7 @@ class TestJournal:
         owner = object()
         for i in range(10):
             anchor = journal.get_or_create(xid(i), 0, owner)
-            anchor.add(0, record())
+            add_records(anchor, 0, [record()])
         journal.clear()
         assert journal.anchor_count == 0
         assert journal.record_count == 0

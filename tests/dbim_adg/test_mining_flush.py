@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.common import TransactionId
@@ -14,11 +15,14 @@ from repro.dbim_adg import (
 )
 from repro.imcs import IMCU, InMemoryColumnStore
 from repro.redo import (
+    CVBatch,
+    CVChunk,
     ChangeVector,
     CVOp,
     CommitPayload,
     DDLMarkerPayload,
     InsertPayload,
+    RedoRecord,
     UpdatePayload,
     ddl_marker_dba,
     txn_table_dba,
@@ -81,6 +85,13 @@ def populate(table, store, txns, n=16, clock_scn=1000):
 X1 = TransactionId(1, 1)
 
 
+def sniff(miner, cv, scn, worker_id=0, owner=None):
+    """Mine one CV the way a recovery worker does: as a one-CV chunk."""
+    batch = CVBatch.from_records([RedoRecord(scn, 1, (cv,))])
+    chunk = CVChunk(batch, np.arange(1, dtype=np.int64))
+    return miner.sniff_chunk(chunk, worker_id, owner or object())
+
+
 def begin_cv(xid=X1):
     return ChangeVector(CVOp.TXN_BEGIN, txn_table_dba(1), 0, 0, xid)
 
@@ -102,7 +113,7 @@ def update_cv(object_id, dba, slot, xid=X1):
 class TestMining:
     def test_begin_creates_anchor_with_flag(self):
         journal, *_rest, miner, __ = make_stack()
-        assert miner.sniff(begin_cv(), 10, 0, object())
+        assert sniff(miner, begin_cv(), 10, 0, object())
         acquired, anchor = journal.get(X1, object())
         assert anchor is not None and anchor.has_begin
 
@@ -110,19 +121,18 @@ class TestMining:
         table = make_table()
         journal, ct, dt, store, miner, flush = make_stack(table)
         oid = table.default_partition.object_id
-        miner.sniff(begin_cv(), 10, 0, object())
-        assert miner.sniff(update_cv(oid, dba=1, slot=2), 11, worker_id=3,
-                           owner=object())
+        sniff(miner, begin_cv(), 10, 0, object())
+        assert sniff(miner, update_cv(oid, dba=1, slot=2), 11, worker_id=3)
         __, anchor = journal.get(X1, object())
-        records = list(anchor.all_records())
-        assert len(records) == 1
-        assert records[0].dba == 1 and records[0].slots == (2,)
-        assert 3 in anchor.worker_records
+        (chunk,) = anchor.chunks()
+        assert chunk.dbas.tolist() == [1] and chunk.slots.tolist() == [2]
+        assert chunk.scns.tolist() == [11]
+        assert 3 in anchor.worker_chunks
 
     def test_data_cv_on_disabled_object_ignored(self):
         journal, *__rest, miner, __ = make_stack()  # nothing enabled
-        miner.sniff(begin_cv(), 10, 0, object())
-        miner.sniff(update_cv(4242, dba=1, slot=2), 11, 0, object())
+        sniff(miner, begin_cv(), 10, 0, object())
+        sniff(miner, update_cv(4242, dba=1, slot=2), 11, 0, object())
         __, anchor = journal.get(X1, object())
         assert anchor.n_records == 0
         assert miner.data_records_mined == 0
@@ -130,8 +140,8 @@ class TestMining:
     def test_commit_creates_commit_table_node(self):
         table = make_table()
         journal, ct, *__rest, miner, flush = make_stack(table)
-        miner.sniff(begin_cv(), 10, 0, object())
-        assert miner.sniff(commit_cv(50), 50, 0, object())
+        sniff(miner, begin_cv(), 10, 0, object())
+        assert sniff(miner, commit_cv(50), 50, 0, object())
         chopped = ct.chop(50)
         assert len(chopped) == 1
         assert chopped[0].commit_scn == 50
@@ -141,7 +151,7 @@ class TestMining:
     def test_commit_without_begin_and_flag_true_is_coarse(self):
         table = make_table()
         journal, ct, *__rest, miner, flush = make_stack(table)
-        assert miner.sniff(commit_cv(50, flag=True), 50, 0, object())
+        assert sniff(miner, commit_cv(50, flag=True), 50, 0, object())
         chopped = ct.chop(50)
         assert chopped[0].coarse
         assert miner.coarse_nodes_created == 1
@@ -149,7 +159,7 @@ class TestMining:
     def test_commit_without_begin_and_flag_false_is_skipped(self):
         table = make_table()
         journal, ct, *__rest, miner, flush = make_stack(table)
-        assert miner.sniff(commit_cv(50, flag=False), 50, 0, object())
+        assert sniff(miner, commit_cv(50, flag=False), 50, 0, object())
         assert ct.chop(50) == []
         assert miner.coarse_nodes_created == 0
 
@@ -158,17 +168,17 @@ class TestMining:
         worst (paper, III-E)."""
         table = make_table()
         journal, ct, *__rest, miner, flush = make_stack(table)
-        assert miner.sniff(commit_cv(50, flag=None), 50, 0, object())
+        assert sniff(miner, commit_cv(50, flag=None), 50, 0, object())
         assert ct.chop(50)[0].coarse
 
     def test_abort_discards_journal_entries(self):
         table = make_table()
         journal, *__rest, miner, __ = make_stack(table)
         oid = table.default_partition.object_id
-        miner.sniff(begin_cv(), 10, 0, object())
-        miner.sniff(update_cv(oid, 1, 2), 11, 0, object())
+        sniff(miner, begin_cv(), 10, 0, object())
+        sniff(miner, update_cv(oid, 1, 2), 11, 0, object())
         abort = ChangeVector(CVOp.TXN_ABORT, txn_table_dba(1), 0, 0, X1)
-        assert miner.sniff(abort, 12, 0, object())
+        assert sniff(miner, abort, 12, 0, object())
         assert journal.anchor_count == 0
 
     def test_undo_cvs_not_mined(self):
@@ -177,9 +187,9 @@ class TestMining:
         from repro.redo import UndoPayload
 
         oid = table.default_partition.object_id
-        miner.sniff(begin_cv(), 10, 0, object())
+        sniff(miner, begin_cv(), 10, 0, object())
         undo = ChangeVector(CVOp.UNDO, 1, oid, 0, X1, UndoPayload(2))
-        assert miner.sniff(undo, 11, 0, object())
+        assert sniff(miner, undo, 11, 0, object())
         __, anchor = journal.get(X1, object())
         assert anchor.n_records == 0
 
@@ -188,7 +198,7 @@ class TestMining:
         journal, ct, ddl_table, *__rest, miner, flush = make_stack(table)
         payload = DDLMarkerPayload("drop_column", (1,), "T", {"column": "n1"})
         cv = ChangeVector(CVOp.DDL_MARKER, ddl_marker_dba(1), 1, 0, X1, payload)
-        assert miner.sniff(cv, 30, 0, object())
+        assert sniff(miner, cv, 30, 0, object())
         assert len(ddl_table) == 1
 
     def test_latch_miss_propagates_false(self):
@@ -197,8 +207,59 @@ class TestMining:
         blocker = object()
         bucket = journal._bucket_index(X1)
         journal.latches.latch_for(bucket).try_acquire(blocker)
-        assert not miner.sniff(begin_cv(), 10, 0, object())
+        assert not sniff(miner, begin_cv(), 10, 0, object())
         assert miner.latch_misses == 1
+
+    def test_tail_mode_skips_missing_begin_commit(self):
+        """Instant-restart tail replay: a commit whose begin lies below
+        the replay floor is skipped, not coarse-invalidated."""
+        table = make_table()
+        journal, ct, *__rest, miner, flush = make_stack(table)
+        miner.tail_mode = True
+        assert sniff(miner, commit_cv(50, flag=True), 50)
+        assert ct.chop(50) == []
+        assert miner.tail_commits_skipped == 1
+        assert miner.coarse_nodes_created == 0
+
+    def test_tail_mode_keeps_commits_with_begin(self):
+        table = make_table()
+        journal, ct, *__rest, miner, flush = make_stack(table)
+        miner.tail_mode = True
+        sniff(miner, begin_cv(), 10)
+        assert sniff(miner, commit_cv(50), 50)
+        (node,) = ct.chop(50)
+        assert not node.coarse and node.anchor is not None
+        assert miner.tail_commits_skipped == 0
+
+    def test_latch_miss_mid_chunk_resumes_without_remining(self):
+        """A latch miss part-way through a chunk keeps the progress made;
+        the retry mines only the rest."""
+        table = make_table()
+        journal, *__rest, miner, __ = make_stack(table)
+        oid = table.default_partition.object_id
+        x2 = next(
+            TransactionId(1, n) for n in range(2, 100)
+            if journal._bucket_index(TransactionId(1, n))
+            != journal._bucket_index(X1)
+        )
+        batch = CVBatch.from_records([
+            RedoRecord(10, 1, (begin_cv(),)),
+            RedoRecord(11, 1, (update_cv(oid, dba=1, slot=2),)),
+            RedoRecord(12, 1, (begin_cv(x2),)),
+            RedoRecord(13, 1, (update_cv(oid, dba=2, slot=0, xid=x2),)),
+        ])
+        chunk = CVChunk(batch, np.arange(4, dtype=np.int64))
+        latch = journal.latches.latch_for(journal._bucket_index(x2))
+        blocker = object()
+        assert latch.try_acquire(blocker)
+        assert not miner.sniff_chunk(chunk, 0, object())
+        assert chunk.mined_pos == 2 and not chunk.fully_mined
+        assert miner.latch_misses == 1
+        latch.release(blocker)
+        assert miner.sniff_chunk(chunk, 0, object())
+        assert chunk.fully_mined
+        assert journal.record_count == 2
+        assert miner.data_records_mined == 2
 
 
 class TestFlush:
@@ -209,10 +270,10 @@ class TestFlush:
         rowids = populate(table, store, txns)
         oid = table.default_partition.object_id
 
-        miner.sniff(begin_cv(), 300, 0, object())
+        sniff(miner, begin_cv(), 300, 0, object())
         target = rowids[3]
-        miner.sniff(update_cv(oid, target.dba, target.slot), 301, 0, object())
-        miner.sniff(commit_cv(310), 310, 0, object())
+        sniff(miner, update_cv(oid, target.dba, target.slot), 301, 0, object())
+        sniff(miner, commit_cv(310), 310, 0, object())
 
         flush.begin_advance(320)
         while not flush.is_advance_complete():
@@ -230,8 +291,8 @@ class TestFlush:
         journal, ct, dt, store, miner, flush = make_stack(table)
         rowids = populate(table, store, txns)
         oid = table.default_partition.object_id
-        miner.sniff(begin_cv(), 300, 0, object())
-        miner.sniff(update_cv(oid, rowids[0].dba, rowids[0].slot), 301, 0,
+        sniff(miner, begin_cv(), 300, 0, object())
+        sniff(miner, update_cv(oid, rowids[0].dba, rowids[0].slot), 301, 0,
                     object())
         # no commit mined
         flush.begin_advance(400)
@@ -246,10 +307,10 @@ class TestFlush:
         journal, ct, dt, store, miner, flush = make_stack(table)
         rowids = populate(table, store, txns)
         oid = table.default_partition.object_id
-        miner.sniff(begin_cv(), 300, 0, object())
-        miner.sniff(update_cv(oid, rowids[0].dba, rowids[0].slot), 301, 0,
+        sniff(miner, begin_cv(), 300, 0, object())
+        sniff(miner, update_cv(oid, rowids[0].dba, rowids[0].slot), 301, 0,
                     object())
-        miner.sniff(commit_cv(500), 500, 0, object())
+        sniff(miner, commit_cv(500), 500, 0, object())
         flush.begin_advance(400)  # target below commitSCN
         assert flush.is_advance_complete()
         smu = store.unit_covering(oid, rowids[0].dba)
@@ -262,7 +323,7 @@ class TestFlush:
         journal, ct, dt, store, miner, flush = make_stack(table)
         populate(table, store, txns)
         oid = table.default_partition.object_id
-        miner.sniff(commit_cv(310, flag=True), 310, 0, object())  # no begin
+        sniff(miner, commit_cv(310, flag=True), 310, 0, object())  # no begin
         flush.begin_advance(320)
         while not flush.is_advance_complete():
             flush.coordinator_flush(8)
@@ -275,13 +336,13 @@ class TestFlush:
         journal, ct, dt, store, miner, flush = make_stack(table)
         rowids = populate(table, store, txns)
         oid = table.default_partition.object_id
-        miner.sniff(begin_cv(), 300, 0, object())
+        sniff(miner, begin_cv(), 300, 0, object())
         # two updates to the same block from different workers
-        miner.sniff(update_cv(oid, rowids[0].dba, rowids[0].slot), 301, 0,
+        sniff(miner, update_cv(oid, rowids[0].dba, rowids[0].slot), 301, 0,
                     object())
-        miner.sniff(update_cv(oid, rowids[1].dba, rowids[1].slot), 302, 1,
+        sniff(miner, update_cv(oid, rowids[1].dba, rowids[1].slot), 302, 1,
                     object())
-        miner.sniff(commit_cv(310), 310, 0, object())
+        sniff(miner, commit_cv(310), 310, 0, object())
         flush.begin_advance(320)
         flush.coordinator_flush(8)
         assert flush.groups_created == 1  # one object, few blocks
@@ -292,10 +353,10 @@ class TestFlush:
         journal, ct, dt, store, miner, flush = make_stack(table)
         rowids = populate(table, store, txns)
         oid = table.default_partition.object_id
-        miner.sniff(begin_cv(), 300, 0, object())
-        miner.sniff(update_cv(oid, rowids[0].dba, rowids[0].slot), 301, 0,
+        sniff(miner, begin_cv(), 300, 0, object())
+        sniff(miner, update_cv(oid, rowids[0].dba, rowids[0].slot), 301, 0,
                     object())
-        miner.sniff(commit_cv(310), 310, 0, object())
+        sniff(miner, commit_cv(310), 310, 0, object())
         flush.cooperative = False
         flush.begin_advance(320)
         assert flush.worker_flush(0, 8) == 0  # ablation: workers opt out
@@ -316,7 +377,7 @@ class TestFlush:
         payload = DDLMarkerPayload("drop_column", (oid,), "T", {"column": "n1"})
         cv = ChangeVector(CVOp.DDL_MARKER, ddl_marker_dba(oid), oid, 0, X1,
                           payload)
-        miner.sniff(cv, 350, 0, object())
+        sniff(miner, cv, 350, 0, object())
         flush.begin_advance(360)
         assert store.segment(oid).live_units() == []
         assert applied == [payload]
@@ -331,7 +392,7 @@ class TestFlush:
         payload = DDLMarkerPayload("drop_column", (oid,), "T", {"column": "n1"})
         cv = ChangeVector(CVOp.DDL_MARKER, ddl_marker_dba(oid), oid, 0, X1,
                           payload)
-        miner.sniff(cv, 500, 0, object())
+        sniff(miner, cv, 500, 0, object())
         flush.begin_advance(360)
         assert store.segment(oid).live_units()  # still there
         assert len(dt) == 1
@@ -350,7 +411,7 @@ class TestFlush:
         payload = DDLMarkerPayload("drop_column", (oid,), "T", {"column": "n1"})
         cv = ChangeVector(CVOp.DDL_MARKER, ddl_marker_dba(oid), oid, 0, X1,
                           payload)
-        miner.sniff(cv, 350, 0, object())
+        sniff(miner, cv, 350, 0, object())
         flush.begin_advance(360)
         # dropped at begin_advance time: a reader at the published SCN can
         # never see a stale unit for the DDL-affected object
@@ -361,7 +422,7 @@ class TestFlush:
         late = DDLMarkerPayload("drop_column", (oid,), "T", {"column": "n2"})
         late_cv = ChangeVector(CVOp.DDL_MARKER, ddl_marker_dba(oid), oid, 0,
                                X1, late)
-        miner.sniff(late_cv, 500, 0, object())
+        sniff(miner, late_cv, 500, 0, object())
         while not flush.is_advance_complete():
             flush.coordinator_flush(8)
         flush.finish_advance(360)

@@ -24,15 +24,17 @@ from repro.dbim_adg import (
     CommitTableNode,
     IMADGCommitTable,
     IMADGJournal,
-    InvalidationRecord,
 )
 from repro.redo import (
+    CVBatch,
     ChangeVector,
     CVOp,
     InsertPayload,
     RedoReceiver,
     RedoRecord,
 )
+
+from tests.dbim_adg.helpers import add_records
 
 
 @settings(max_examples=150, deadline=None)
@@ -89,10 +91,7 @@ def test_journal_exactly_once_delivery(ops):
             if xid in finished:
                 continue  # the stream never writes after commit/abort
             anchor = journal.get_or_create(xid, 0, owner)
-            anchor.add(
-                worker,
-                InvalidationRecord(9, 5, (0,), 0, scn=1),
-            )
+            add_records(anchor, worker, [(9, 5, 0, 1)])
             model[xid] = model.get(xid, 0) + 1
         elif kind == "abort":
             journal.remove(xid, owner)
@@ -151,11 +150,13 @@ def test_merger_never_releases_above_watermark(per_thread, take_points):
             take = stream[positions[i] : positions[i] + chunk]
             positions[i] += len(take)
             if take:
-                receiver.deliver([record(s, threads[i]) for s in take])
+                receiver.deliver(CVBatch.from_records(
+                    [record(s, threads[i]) for s in take]
+                ))
         merger.merge_available()
-        batch = merger.take_merged(10_000)
         watermark = min(receiver.received_scn.values())
-        for rec in batch:
-            assert rec.scn <= watermark
-            released.append(rec.scn)
+        for run in merger.take_merged(10_000):
+            for scn in run.record_scns.tolist():
+                assert scn <= watermark
+                released.append(scn)
     assert released == sorted(released)

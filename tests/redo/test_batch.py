@@ -20,6 +20,8 @@ from repro.redo.records import (
     txn_table_dba,
 )
 
+from tests.reference.record_ingest import RecordDistributor
+
 X = TransactionId(1, 1)
 Y = TransactionId(2, 7)
 
@@ -111,13 +113,14 @@ class TestCVBatch:
 
 
 class TestDistributeBatch:
-    def test_routing_matches_scalar_worker_for(self):
-        """The vectorized routing must be bit-identical to the per-CV
-        ``hash(cv.dba) % n`` path -- including dba == -1, where CPython's
-        ``hash(-1) == -2`` quirk matters."""
+    def test_routing_matches_reference_hash(self):
+        """The vectorized routing must be bit-identical to the reference
+        interpreter's per-CV ``hash(cv.dba) % n`` -- including dba == -1,
+        where CPython's ``hash(-1) == -2`` quirk matters."""
         dist = ApplyDistributor(n_workers=4)
         dbas = [5, -1, -2, 0, 101, -100007, -200101, txn_table_dba(3)]
-        scalar = [dist.worker_for(cv(dba=d)) for d in dbas]
+        reference = RecordDistributor(n_workers=4)
+        scalar = [reference.worker_for(cv(dba=d)) for d in dbas]
         vector = dist._workers_for_dbas(np.array(dbas, dtype=np.int64))
         assert list(vector) == scalar
 
@@ -136,12 +139,15 @@ class TestDistributeBatch:
             assert len(set(expected)) == 1
         assert dist.pending() == batch.n_cvs
 
-    def test_mixed_records_and_batches(self):
+    def test_several_batches_queue_in_order(self):
         dist = ApplyDistributor(n_workers=2)
-        dist.distribute([rec(5, [cv(dba=5)]), make_batch()])
+        first = CVBatch.from_records([rec(5, [cv(dba=5)])])
+        dist.distribute([first, make_batch()])
         assert dist.pending() == 5
         queued = list(dist.queued_cvs())
         assert len(queued) == 5
+        # the earlier batch's chunk sits ahead on its worker's queue
+        assert dist.queues[5 % 2][0].batch is first
 
     def test_dependency_aware_batch_keeps_dba_affinity(self):
         dist = DependencyAwareDistributor(n_workers=3)

@@ -42,7 +42,8 @@ def test_batching_preserves_order():
     for scn in range(10, 20):
         log.append(rec(scn))
     sched.run_until(1.0)
-    scns = [r.scn for r in receiver.queue(1)]
+    assert len(receiver.queue(1)) == 5  # one CVBatch per shipment
+    scns = [s for b in receiver.queue(1) for s in b.record_scns.tolist()]
     assert scns == list(range(10, 20))
 
 

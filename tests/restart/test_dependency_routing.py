@@ -6,6 +6,7 @@ from repro.adg.apply import ApplyDistributor, DependencyAwareDistributor
 from repro.common import TransactionId
 from repro.common.config import ApplyConfig, IMCSConfig, SystemConfig
 from repro.db import Deployment, InMemoryService
+from repro.redo.batch import CVBatch
 from repro.redo.records import (
     ChangeVector,
     CVOp,
@@ -36,23 +37,39 @@ def rec(scn, *cvs):
     return RedoRecord(scn, 1, tuple(cvs))
 
 
+def ship(*records):
+    """One shipment: the records transposed into a CVBatch."""
+    return CVBatch.from_records(list(records))
+
+
+def queued_scns(queue):
+    return [
+        int(chunk.batch.scns[i]) for chunk in queue for i in chunk.indices
+    ]
+
+
+def queue_lengths(d):
+    return [sum(len(chunk) for chunk in queue) for queue in d.queues]
+
+
 class TestRouting:
     def test_same_dba_chains_to_one_worker_in_scn_order(self):
         d = DependencyAwareDistributor(4)
-        d.distribute([rec(10, data_cv(5)), rec(11, data_cv(5)),
-                      rec(12, data_cv(5))])
+        d.distribute([ship(rec(10, data_cv(5)), rec(11, data_cv(5)),
+                           rec(12, data_cv(5)))])
         owners = {
             i for i, queue in enumerate(d.queues) for __ in queue
         }
         assert len(owners) == 1
         queue = d.queues[owners.pop()]
-        assert [scn for scn, __ in queue] == [10, 11, 12]
+        assert queued_scns(queue) == [10, 11, 12]
         assert d.chained_cvs == 2  # first CV opened the chain unencumbered
 
     def test_unrelated_dbas_spread_by_load(self):
         d = DependencyAwareDistributor(4)
-        d.distribute([rec(10 + i, data_cv(100 + i)) for i in range(4)])
-        assert [len(queue) for queue in d.queues] == [1, 1, 1, 1]
+        records = [rec(10 + i, data_cv(100 + i)) for i in range(4)]
+        d.distribute([ship(*records)])
+        assert queue_lengths(d) == [1, 1, 1, 1]
         assert d.chained_cvs == 0
 
     def test_create_table_marker_pulls_object_cvs(self):
@@ -60,9 +77,9 @@ class TestRouting:
         its worker even on never-seen DBAs -- the cross-worker dictionary
         stall under hashing cannot happen."""
         d = DependencyAwareDistributor(4)
-        d.distribute([rec(10, marker_cv(dba=1, object_ids=[77]))])
-        d.distribute([rec(11, data_cv(200, object_id=77)),
-                      rec(12, data_cv(300, object_id=77))])
+        d.distribute([ship(rec(10, marker_cv(dba=1, object_ids=[77])))])
+        d.distribute([ship(rec(11, data_cv(200, object_id=77)),
+                           rec(12, data_cv(300, object_id=77)))])
         owners = {
             i for i, queue in enumerate(d.queues) for __ in queue
         }
@@ -72,7 +89,7 @@ class TestRouting:
         d = DependencyAwareDistributor(2)
         marker = marker_cv(dba=1, object_ids=[77])
         cv = data_cv(5, object_id=77)
-        d.distribute([rec(10, marker), rec(11, cv)])
+        d.distribute([ship(rec(10, marker), rec(11, cv))])
         d.note_applied(marker)
         d.note_applied(cv)
         assert not d._dba_owner
@@ -83,7 +100,7 @@ class TestRouting:
         applied, so late arrivals still chain behind unapplied work."""
         d = DependencyAwareDistributor(2)
         first, second = data_cv(5), data_cv(5)
-        d.distribute([rec(10, first), rec(11, second)])
+        d.distribute([ship(rec(10, first), rec(11, second))])
         d.note_applied(first)
         assert 5 in d._dba_owner
         d.note_applied(second)
@@ -91,7 +108,7 @@ class TestRouting:
 
     def test_base_distributor_note_applied_is_a_noop(self):
         d = ApplyDistributor(2)
-        d.distribute([rec(10, data_cv(5))])
+        d.distribute([ship(rec(10, data_cv(5)))])
         d.note_applied(data_cv(5))  # must not raise
 
 
