@@ -11,30 +11,19 @@ on the same standby.
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.db.deployment import InMemoryService
 from repro.imcs import AggregateSpec, Predicate
-from repro.metrics.render import render_table
+from repro.obs.render import render_table
 
-from conftest import bench_oltap_config, run_scenario, save_report
+from conftest import bench_oltap_config, best_of, run_scenario, save_report
 
 
 @pytest.fixture(scope="module")
 def scenario():
     config = bench_oltap_config(duration=0.5, pct_update=0.0, pct_scan=0.0)
     return run_scenario(config, service=InMemoryService.STANDBY)
-
-
-def wall_time(fn, repeats=15) -> float:
-    best = float("inf")
-    for __ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def test_aggregation_pushdown(scenario, benchmark):
@@ -67,8 +56,8 @@ def test_aggregation_pushdown(scenario, benchmark):
     assert pushed_result.values == materialised()
     assert pushed_result.pushed_down_rows > 0
 
-    t_pushed = wall_time(pushed)
-    t_materialised = wall_time(materialised)
+    t_pushed = best_of(pushed, 15)
+    t_materialised = best_of(materialised, 15)
     save_report(
         "ablation_aggregation_pushdown",
         render_table(

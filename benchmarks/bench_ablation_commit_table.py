@@ -21,7 +21,7 @@ import pytest
 
 from repro.common.ids import TransactionId
 from repro.dbim_adg.commit_table import CommitTableNode, IMADGCommitTable
-from repro.metrics.render import render_table
+from repro.obs.render import render_table
 
 from conftest import save_report
 

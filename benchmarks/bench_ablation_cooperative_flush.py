@@ -17,7 +17,7 @@ import pytest
 
 from repro.common.config import ApplyConfig
 from repro.db.deployment import InMemoryService
-from repro.metrics.render import render_table
+from repro.obs.render import render_table
 
 from conftest import (
     bench_oltap_config,
@@ -50,12 +50,13 @@ def run_mode(cooperative: bool):
         system_config=system_config,
     )
     coordinator = deployment.standby.coordinator
+    flush = deployment.standby.flush
     return {
         "deployment": deployment,
         "mean_publish_latency": coordinator.mean_publish_latency,
-        "advancements": coordinator.advancements,
-        "worker_flushed": deployment.standby.flush.nodes_flushed_by_workers,
-        "total_flushed": deployment.standby.flush.nodes_flushed,
+        "advancements": coordinator.advancements.value,
+        "worker_flushed": flush.nodes_flushed_by_workers.value,
+        "total_flushed": flush.nodes_flushed.value,
     }
 
 

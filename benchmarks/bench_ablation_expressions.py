@@ -12,15 +12,13 @@ once by scanning the base columns and evaluating per row in Python.
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.db.deployment import InMemoryService
 from repro.imcs import Expression, Predicate
-from repro.metrics.render import render_table
+from repro.obs.render import render_table
 
-from conftest import bench_oltap_config, run_scenario, save_report
+from conftest import bench_oltap_config, best_of, run_scenario, save_report
 
 
 def score(n1, n2):
@@ -41,15 +39,6 @@ def scenario():
     )
     deployment.catch_up()  # repopulate with the materialised expression
     return deployment, workload
-
-
-def wall_time(fn, repeats=15) -> float:
-    best = float("inf")
-    for __ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def test_inmemory_expression_speedup(scenario, benchmark):
@@ -80,8 +69,8 @@ def test_inmemory_expression_speedup(scenario, benchmark):
     assert fast.stats.imcus_used >= 1
     assert sorted(fast.rows) == sorted(per_row())
 
-    t_fast = wall_time(materialised)
-    t_slow = wall_time(per_row)
+    t_fast = best_of(materialised, 15)
+    t_slow = best_of(per_row, 15)
     save_report(
         "ablation_expressions",
         render_table(

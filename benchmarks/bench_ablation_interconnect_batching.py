@@ -15,7 +15,7 @@ import pytest
 
 from repro.common.config import RACConfig
 from repro.db.deployment import Deployment, InMemoryService
-from repro.metrics.render import render_table
+from repro.obs.render import render_table
 from repro.workload.oltap import OLTAPWorkload
 
 from conftest import bench_oltap_config, bench_system_config, save_report
@@ -45,9 +45,9 @@ def run_mode(batch_size: int):
         "deployment": deployment,
         "cluster": cluster,
         "messages": cluster.interconnect.messages_sent,
-        "groups_remote": cluster.router.groups_routed_remote,
+        "groups_remote": cluster.router.groups_routed_remote.value,
         "mean_publish_latency": coordinator.mean_publish_latency,
-        "advancements": coordinator.advancements,
+        "advancements": coordinator.advancements.value,
     }
 
 

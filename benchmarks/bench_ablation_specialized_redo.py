@@ -18,7 +18,7 @@ import pytest
 from repro.common.config import JournalConfig
 from repro.db import ColumnDef, Deployment, InMemoryService, TableDef
 from repro.imcs.scan import Predicate
-from repro.metrics.render import render_table
+from repro.obs.render import render_table
 
 from conftest import bench_system_config, save_report
 
@@ -68,10 +68,11 @@ def run_restart_scenario(specialized: bool):
     deployment.catch_up()
 
     result = deployment.standby.query("INMEM", [Predicate.eq("c1", "v1")])
+    standby = deployment.standby
     return {
         "deployment": deployment,
-        "coarse_invalidations": deployment.standby.imcs.coarse_invalidations,
-        "coarse_nodes": deployment.standby.miner.coarse_nodes_created,
+        "coarse_invalidations": standby.imcs.coarse_invalidations.value,
+        "coarse_nodes": standby.miner.coarse_nodes_created.value,
         "rows": len(result.rows),
     }
 

@@ -116,12 +116,12 @@ def test_feed_lag_bounded_and_replay_exact(firehose):
     payload = {
         "rows_final": len(expected),
         "bursts": N_BURSTS,
-        "events_emitted": int(egress.emitted),
-        "cuts_resolved": int(egress.resolved),
-        "backfill_rows": int(egress.backfill_rows),
-        "backfill_chunks": int(egress.backfill_chunks),
-        "backfill_deduped": int(egress.backfill_deduped),
-        "resyncs": int(egress.resyncs),
+        "events_emitted": int(egress.emitted.value),
+        "cuts_resolved": int(egress.resolved.value),
+        "backfill_rows": int(egress.backfill_rows.value),
+        "backfill_chunks": int(egress.backfill_chunks.value),
+        "backfill_deduped": int(egress.backfill_deduped.value),
+        "resyncs": int(egress.resyncs.value),
         "feed_lag_p50": lag["p50"],
         "feed_lag_p95": lag["p95"],
         "feed_lag_max": lag["max"],

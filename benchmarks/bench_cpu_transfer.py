@@ -17,7 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.db.deployment import InMemoryService
-from repro.metrics.render import render_table
+from repro.obs.render import render_table
 
 from conftest import bench_oltap_config, run_scenario, save_report
 

@@ -17,7 +17,7 @@ import pytest
 
 from repro.db.deployment import InMemoryService
 from repro.imcs.scan import Predicate
-from repro.metrics.render import render_table, speedup
+from repro.obs.render import render_table, speedup
 
 from conftest import (
     bench_oltap_config,
@@ -68,15 +68,15 @@ def test_fig10_update_insert_speedup(without_dbim, with_dbim, benchmark):
     __, workload_without = without_dbim
     deployment_with, workload_with = with_dbim
 
-    base_q1 = workload_without.query_driver.q1
-    fast_q1 = workload_with.query_driver.q1
-    base_q2 = workload_without.query_driver.q2
-    fast_q2 = workload_with.query_driver.q2
-    for series in (base_q1, base_q2, fast_q1, fast_q2):
-        assert len(series) >= 3
+    base_q1 = workload_without.query_driver.q1.stats()
+    fast_q1 = workload_with.query_driver.q1.stats()
+    base_q2 = workload_without.query_driver.q2.stats()
+    fast_q2 = workload_with.query_driver.q2.stats()
+    for stats in (base_q1, base_q2, fast_q1, fast_q2):
+        assert stats["count"] >= 3
 
-    q1_speedup = speedup(base_q1.median, fast_q1.median)
-    q2_speedup = speedup(base_q2.median, fast_q2.median)
+    q1_speedup = speedup(base_q1["p50"], fast_q1["p50"])
+    q2_speedup = speedup(base_q2["p50"], fast_q2["p50"])
     rows = [
         summary_rows("Q1 without DBIM-on-ADG", base_q1),
         summary_rows("Q1 with DBIM-on-ADG", fast_q1),

@@ -22,7 +22,7 @@ import pytest
 from repro import obs
 from repro.common.config import RACConfig
 from repro.db.deployment import Deployment, InMemoryService
-from repro.metrics.render import render_figure
+from repro.obs.render import render_figure
 from repro.workload.oltap import (
     DMLDriver,
     MetricsSampler,
@@ -31,7 +31,7 @@ from repro.workload.oltap import (
     wide_table_def,
 )
 
-from conftest import bench_system_config, save_json, save_report
+from conftest import bench_system_config, best_of, save_json, save_report
 
 DURATION = 4.0
 
@@ -177,21 +177,13 @@ def test_fig11_redo_apply_lag(rac_run, benchmark):
     assert visibility is not None and visibility["count"] > 100
 
     # the DBIM machinery really ran: mining + flush happened on the standby
-    assert deployment.standby.miner.data_records_mined > 100
-    assert deployment.standby.flush.nodes_flushed > 10
+    assert deployment.standby.miner.data_records_mined.value > 100
+    assert deployment.standby.flush.nodes_flushed.value > 10
 
     # wall-clock for the recovery-critical stages (best of N)
-    import time
-
-    def best_of(fn, repeats=25) -> float:
-        best = float("inf")
-        for __ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    t_consistency = best_of(deployment.standby.coordinator.consistency_point)
+    t_consistency = best_of(
+        deployment.standby.coordinator.consistency_point, 25
+    )
     ops_total = sum(d.ops_issued for d in drivers)
     save_json("apply_lag", {
         "bench": "fig11_redo_apply_lag",
@@ -205,8 +197,12 @@ def test_fig11_redo_apply_lag(rac_run, benchmark):
         "visibility_lag_s": visibility,
         "lifecycle_stages": tracer.stage_summary(),
         "metrics_snapshot": snapshot.as_dict(),
-        "data_records_mined": deployment.standby.miner.data_records_mined,
-        "invalidation_nodes_flushed": deployment.standby.flush.nodes_flushed,
+        "data_records_mined": (
+            deployment.standby.miner.data_records_mined.value
+        ),
+        "invalidation_nodes_flushed": (
+            deployment.standby.flush.nodes_flushed.value
+        ),
         "wall_clock": {
             "consistency_point_s": t_consistency,
         },

@@ -25,15 +25,20 @@ Machine-readable numbers land in ``benchmarks/results/BENCH_scan.json``
 from __future__ import annotations
 
 import random
-import time
 
 import pytest
 
 from repro.db.deployment import InMemoryService
 from repro.imcs.scan import Predicate
-from repro.metrics.render import render_table
+from repro.obs.render import render_table
 
-from conftest import bench_oltap_config, run_scenario, save_json, save_report
+from conftest import (
+    bench_oltap_config,
+    best_of,
+    run_scenario,
+    save_json,
+    save_report,
+)
 
 #: Fractions of the table invalidated for the heavy configuration.
 HEAVY_ROW_FRACTION = 0.25
@@ -57,15 +62,6 @@ _RESULTS: dict = {}
 def scenario():
     config = bench_oltap_config(duration=0.5, pct_update=0.0, pct_scan=0.0)
     return run_scenario(config, service=InMemoryService.STANDBY)
-
-
-def wall_time(fn, repeats=15) -> float:
-    best = float("inf")
-    for __ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def test_columnar_vs_rowformat_wall_clock(scenario, benchmark):
@@ -95,9 +91,9 @@ def test_columnar_vs_rowformat_wall_clock(scenario, benchmark):
         r[0] for r in columnar().rows
     )
 
-    t_row = wall_time(row_format)
-    t_col = wall_time(columnar)
-    t_prune = wall_time(pruned)
+    t_row = best_of(row_format, 15)
+    t_col = best_of(columnar, 15)
+    t_prune = best_of(pruned, 15)
     rows = [
         ["row-format CR scan", t_row * 1e3, 1.0],
         ["columnar scan", t_col * 1e3, t_row / t_col],
@@ -172,7 +168,7 @@ def test_heavy_invalidation_scan(scenario, benchmark):
     assert sorted(r[0] for r in reference) == sorted(r[0] for r in got.rows)
     assert got.stats.fallback_rows > 0  # the reconcile path really ran
 
-    t_heavy = wall_time(heavy, repeats=10)
+    t_heavy = best_of(heavy, 10)
     n_rows = workload.config.n_rows
     clean = _RESULTS.get("clean", {})
     payload = {

@@ -25,7 +25,7 @@ from repro.common.config import ApplyConfig, IMCSConfig, RACConfig, SystemConfig
 from repro.db import ColumnDef, Deployment, InMemoryService, TableDef
 from repro.db.primary import PrimaryDatabase
 from repro.imcs import Predicate
-from repro.metrics.render import render_table
+from repro.obs.render import render_table
 from repro.rac.mira import MIRAStandbyCluster
 from repro.sim import Scheduler
 

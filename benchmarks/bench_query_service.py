@@ -17,7 +17,7 @@ import pytest
 
 from repro.db import ColumnDef, TableDef
 from repro.db.deployment import Deployment, InMemoryService
-from repro.metrics.render import render_table
+from repro.obs.render import render_table
 
 from conftest import bench_system_config, save_json, save_report
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from repro import obs
 from repro.db import ColumnDef, Service, TableDef
 from repro.fleet import FleetDeployment, FleetRouter, SessionWave, WaveConfig
-from repro.metrics.render import render_table
+from repro.obs.render import render_table
 
 from conftest import bench_system_config, save_json, save_report
 
@@ -38,14 +38,6 @@ WAVE = dict(
     service_name="reports",
     seed=4242,
 )
-
-
-def percentile(values: list[float], q: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return ordered[index]
 
 
 def build_fleet() -> tuple[FleetDeployment, list]:
@@ -117,16 +109,16 @@ def run_wave(policy: str) -> dict:
         "timed_out": sum(1 for r in records if r.timed_out),
         "lost": sum(1 for r in records if r.lost),
         "resubmits": sum(r.resubmits for r in records),
-        "wait_p50_ms": percentile(waits, 0.50) * 1e3,
-        "wait_p95_ms": percentile(waits, 0.95) * 1e3,
-        "wait_p99_ms": percentile(waits, 0.99) * 1e3,
-        "latency_p50_ms": percentile(latencies, 0.50) * 1e3,
-        "latency_p99_ms": percentile(latencies, 0.99) * 1e3,
+        "wait_p50_ms": obs.percentile(waits, 50) * 1e3,
+        "wait_p95_ms": obs.percentile(waits, 95) * 1e3,
+        "wait_p99_ms": obs.percentile(waits, 99) * 1e3,
+        "latency_p50_ms": obs.percentile(latencies, 50) * 1e3,
+        "latency_p99_ms": obs.percentile(latencies, 99) * 1e3,
         "per_tier": {
             tier: {
                 "sessions": len(values),
-                "latency_p50_ms": percentile(values, 0.50) * 1e3,
-                "latency_p99_ms": percentile(values, 0.99) * 1e3,
+                "latency_p50_ms": obs.percentile(values, 50) * 1e3,
+                "latency_p99_ms": obs.percentile(values, 99) * 1e3,
             }
             for tier, values in sorted(tiers.items())
         },

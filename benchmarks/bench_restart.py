@@ -24,7 +24,7 @@ import pytest
 from repro.common.config import ApplyConfig
 from repro.db.deployment import Deployment, InMemoryService
 from repro.imcs.scan import Predicate
-from repro.metrics.render import render_table
+from repro.obs.render import render_table
 from repro.redo.shipping import LogShipper
 from repro.workload.oltap import OLTAPConfig, OLTAPWorkload
 
@@ -110,10 +110,10 @@ def run_routing(routing: str):
     deployment.catch_up()
     catchup_s = deployment.sched.now - start
     standby = deployment.standby
-    stalls = sum(int(w.apply_stalls) for w in standby.workers)
+    stalls = sum(int(w.apply_stalls.value) for w in standby.workers)
     out = {"apply_stalls": stalls, "catchup_s": catchup_s}
     if routing == "dependency":
-        out["chained_cvs"] = int(standby.distributor.chained_cvs)
+        out["chained_cvs"] = int(standby.distributor.chained_cvs.value)
     return out
 
 

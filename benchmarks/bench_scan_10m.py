@@ -29,7 +29,6 @@ Machine-readable numbers land in ``benchmarks/results/BENCH_scan_10m.json``.
 from __future__ import annotations
 
 import os
-import time
 
 import numpy as np
 import pytest
@@ -48,10 +47,10 @@ from repro.imcs.compression import (
 )
 from repro.imcs.imcu import IMCU
 from repro.imcs.scan import Predicate
-from repro.metrics.render import render_table
+from repro.obs.render import render_table
 from repro.query import QueryWorkerPool
 
-from conftest import save_json, save_report
+from conftest import best_of, save_json, save_report
 
 N_UNITS = 10
 ROWS_PER_UNIT = 1_000_000
@@ -137,15 +136,6 @@ def gauntlet():
             _synthetic_unit(object_id, snapshot, u)
         )
     return deployment, rowids
-
-
-def wall_time(fn, repeats: int = 3) -> float:
-    best = float("inf")
-    for __ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 # ----------------------------------------------------------------------
@@ -256,12 +246,12 @@ def test_clean_scan_vs_naive_kernels(gauntlet, benchmark):
 
     optimized = clean()
     assert optimized.stats.imcs_rows >= N_UNITS * ROWS_PER_UNIT
-    t_opt = wall_time(clean)
+    t_opt = best_of(clean, 3)
 
     with naive_kernels():
         naive = clean()
         assert naive.rows == optimized.rows  # equal results, same data
-        t_naive = wall_time(clean, repeats=2)
+        t_naive = best_of(clean, 2)
 
     speedup = t_naive / t_opt
     rows_per_s = TOTAL_ROWS / t_opt
@@ -301,7 +291,7 @@ def test_selective_rle_run_skipping(gauntlet):
             if rare is not None:
                 expected += int(lengths[codes == rare].sum())
     assert len(result.rows) == expected
-    t = wall_time(rle)
+    t = best_of(rle, 3)
     _RESULTS["selective_rle"] = {
         "wall_s": t,
         "rows_per_s": TOTAL_ROWS / t,
@@ -355,7 +345,7 @@ def test_encoded_domain_aggregate(gauntlet):
     assert values["max_c2"] in STATUSES
     assert result.pushed_down_rows == count
 
-    t = wall_time(aggregate)
+    t = best_of(aggregate, 3)
     _RESULTS["encoded_aggregate"] = {
         "wall_s": t,
         "rows_per_s": TOTAL_ROWS / t,
@@ -386,7 +376,7 @@ def test_reconcile_heavy(gauntlet):
     assert sorted(after.rows) == sorted(before.rows)
     assert after.stats.fallback_rows > 0
 
-    t = wall_time(scan)
+    t = best_of(scan, 3)
     _RESULTS["reconcile_heavy"] = {
         "wall_s": t,
         "rows_per_s": TOTAL_ROWS / t,
@@ -415,7 +405,7 @@ def test_parallel_process_vs_serial(gauntlet):
         return merge_partials([m.run() for m in plan()])
 
     serial_result = serial()
-    t_serial = wall_time(serial, repeats=2)
+    t_serial = best_of(serial, 2)
 
     pool = QueryWorkerPool(
         deployment.sched, n_workers=min(cores, 8),

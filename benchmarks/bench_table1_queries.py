@@ -12,7 +12,7 @@ import pytest
 
 from repro.db.deployment import InMemoryService
 from repro.db.sql import parse_query
-from repro.metrics.render import render_table
+from repro.obs.render import render_table
 
 from conftest import bench_oltap_config, run_scenario, save_report
 

@@ -16,7 +16,7 @@ import pytest
 
 from repro.db.deployment import InMemoryService
 from repro.imcs.scan import Predicate
-from repro.metrics.render import render_table
+from repro.obs.render import render_table
 
 from conftest import bench_oltap_config, run_scenario, save_report, summary_rows
 
@@ -47,9 +47,9 @@ def test_table2_scan_only_parity(primary_run, standby_run, benchmark):
     deployment_p, workload_p = primary_run
     deployment_s, workload_s = standby_run
 
-    q1_primary = workload_p.query_driver.q1
-    q1_standby = workload_s.query_driver.q1
-    assert len(q1_primary) >= 10 and len(q1_standby) >= 10
+    q1_primary = workload_p.query_driver.q1.stats()
+    q1_standby = workload_s.query_driver.q1.stats()
+    assert q1_primary["count"] >= 10 and q1_standby["count"] >= 10
 
     rows = [
         summary_rows("Primary", q1_primary),
@@ -66,9 +66,9 @@ def test_table2_scan_only_parity(primary_run, standby_run, benchmark):
     )
 
     # parity within 10% on every statistic (paper: 4.25 vs 4.30 ms etc.)
-    for stat in ("median", "average", "p95"):
-        a = q1_primary.summary()[stat]
-        b = q1_standby.summary()[stat]
+    for stat in ("p50", "mean", "p95"):
+        a = q1_primary[stat]
+        b = q1_standby[stat]
         assert abs(a - b) / max(a, b) < 0.10, f"{stat}: {a} vs {b}"
 
     # no DML: scans never fall back to the row store on either side

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -45,6 +46,17 @@ def save_json(name: str, payload: dict) -> pathlib.Path:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"[saved to {path}]")
     return path
+
+
+def best_of(fn, repeats: int) -> float:
+    """Best-of-``repeats`` wall time of ``fn()`` in seconds (the minimum
+    filters out scheduler noise on a shared host)."""
+    best = float("inf")
+    for __ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def bench_system_config(**overrides) -> SystemConfig:
@@ -115,15 +127,15 @@ def run_scenario(
     return deployment, workload
 
 
-def summary_rows(label: str, series) -> list:
-    """One row of the Fig. 9/10-style tables, in milliseconds."""
-    summary = series.summary()
+def summary_rows(label: str, stats: dict) -> list:
+    """One row of the Fig. 9/10-style tables from ``Histogram.stats()``,
+    in milliseconds: n, median, average, p95."""
     return [
         label,
-        len(series),
-        summary["median"] * 1e3,
-        summary["average"] * 1e3,
-        summary["p95"] * 1e3,
+        stats["count"],
+        stats["p50"] * 1e3,
+        stats["mean"] * 1e3,
+        stats["p95"] * 1e3,
     ]
 
 

@@ -75,10 +75,10 @@ def main() -> None:
         primary.commit(txn)
     deployment.catch_up()
     print(f"   invalidation groups routed locally: "
-          f"{cluster.router.groups_routed_local}, remotely: "
-          f"{cluster.router.groups_routed_remote}")
+          f"{cluster.router.groups_routed_local.value}, remotely: "
+          f"{cluster.router.groups_routed_remote.value}")
     print(f"   interconnect messages: {cluster.interconnect.messages_sent}")
-    assert cluster.router.groups_routed_remote >= 1
+    assert cluster.router.groups_routed_remote.value >= 1
 
     frozen = cluster.query("ACCOUNTS", [Predicate.eq("balance", -1.0)])
     print(f"   cluster scan sees {len(frozen.rows)} updated accounts")

@@ -61,7 +61,7 @@ def main() -> None:
     assert widths == {3}
     assert result.stats.imcus_used >= 1  # repopulated without the column
     print(f"   DDL markers processed on the standby: "
-          f"{standby.flush.ddl_processed}")
+          f"{standby.flush.ddl_processed.value}")
 
     print("\n== TRUNCATE ==")
     primary.truncate_table("EVENTS")

@@ -169,15 +169,13 @@ class DependencyAwareDistributor(ApplyDistributor):
     from the edge maps when their in-flight count reaches zero.
     """
 
-    chained_cvs = obs.view("_chained_cvs")
-
     def __init__(self, n_workers: int) -> None:
         super().__init__(n_workers)
         #: DBA -> (owning worker, in-flight CV count).
         self._dba_owner: dict[int, list] = {}
         #: object_id -> (owning worker, in-flight creation-marker count).
         self._object_owner: dict[int, list] = {}
-        self._chained_cvs = obs.counter("adg.distributor.chained_cvs")
+        self.chained_cvs = obs.counter("adg.distributor.chained_cvs")
 
     def _distribute_batch(self, batch: CVBatch) -> int:
         """Batch-wise dependency routing: one routing decision per
@@ -248,7 +246,7 @@ class DependencyAwareDistributor(ApplyDistributor):
                 indices = np.sort(np.concatenate(runs))
                 self.queues[w].append(CVChunk(batch, indices))
         if chained:
-            self._chained_cvs.inc(chained)
+            self.chained_cvs.inc(chained)
         self._batch_cvs.observe(n_cvs)
         return n_cvs
 
@@ -270,11 +268,6 @@ class DependencyAwareDistributor(ApplyDistributor):
 class RecoveryWorker(Actor):
     """One parallel-apply worker process."""
 
-    cvs_applied = obs.view("_cvs_applied")
-    sniff_retries = obs.view("_sniff_retries")
-    apply_stalls = obs.view("_apply_stalls")
-    #: Steps skipped by an installed chaos fault (injected slowness).
-    chaos_stalls = obs.view("_chaos_stalls")
     #: Per-CV mining hook: always None, because mining runs per chunk
     #: through ``batch_sniffer``.  Kept so callers that probe both hook
     #: names still work.
@@ -310,16 +303,17 @@ class RecoveryWorker(Actor):
         self.speed = speed
         self.name = f"recovery-worker-{worker_id}"
         self._obs = obs.current()
-        self._cvs_applied = obs.counter(
+        self.cvs_applied = obs.counter(
             "adg.worker.cvs_applied", worker=worker_id
         )
-        self._sniff_retries = obs.counter(
+        self.sniff_retries = obs.counter(
             "adg.worker.sniff_retries", worker=worker_id
         )
-        self._apply_stalls = obs.counter(
+        self.apply_stalls = obs.counter(
             "adg.worker.apply_stalls", worker=worker_id
         )
-        self._chaos_stalls = obs.counter(
+        #: Steps skipped by an installed chaos fault (injected slowness).
+        self.chaos_stalls = obs.counter(
             "adg.worker.chaos_stalls", worker=worker_id
         )
         #: Simulated seconds spent *blocked* on the cooperative flush
@@ -354,7 +348,7 @@ class RecoveryWorker(Actor):
             decision = chaos.consult("step", worker=self.worker_id)
             if decision.action is sites.Action.STALL:
                 # injected slowness: burn a step without doing any work
-                self._chaos_stalls.inc()
+                self.chaos_stalls.inc()
                 return self.cost_per_cv * self.batch
         cost = 0.0
         # 1. cooperative invalidation flush (paper, III-D-2): help drain
@@ -392,7 +386,7 @@ class RecoveryWorker(Actor):
                 break
         if applied:
             cost += self.cost_per_cv * applied
-            self._cvs_applied.inc(applied)
+            self.cvs_applied.inc(applied)
         return cost if cost > 0 else None
 
     # ------------------------------------------------------------------
@@ -414,7 +408,7 @@ class RecoveryWorker(Actor):
             elif not self.batch_sniffer(chunk, self.worker_id, self):
                 # bucket latch miss mid-chunk: partial progress is kept
                 # on the chunk; retry next step.
-                self._sniff_retries.inc()
+                self.sniff_retries.inc()
                 return 0, True
         indices = chunk.indices
         scns = chunk.batch.scns
@@ -434,7 +428,7 @@ class RecoveryWorker(Actor):
             try:
                 apply_cv(cv, scn)
             except ApplyStall:
-                self._apply_stalls.inc()
+                self.apply_stalls.inc()
                 stop = True
                 break
             pos += 1

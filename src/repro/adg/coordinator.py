@@ -68,18 +68,6 @@ class AdvanceProtocol(Protocol):
 class RecoveryCoordinator(Actor):
     """Tracks apply progress; advances the QuerySCN."""
 
-    advancements = obs.view("_advancements")
-    publish_latency_total = obs.view("_publish_latency_total")
-    quiesce_wait_retries = obs.view("_quiesce_wait_retries")
-    #: Publications postponed by an installed chaos STALL fault.
-    publish_stalls = obs.view("_publish_stalls")
-    #: Publications postponed by an installed chaos DELAY fault (counted
-    #: separately: a delay names its own duration, a stall retries).
-    publish_delays = obs.view("_publish_delays")
-    #: Wall time publications spent blocked on chaos stalls or the
-    #: quiesce lock -- excluded from the *adjusted* latency metrics.
-    publish_stall_time_total = obs.view("_publish_stall_time_total")
-
     def __init__(
         self,
         merger: LogMerger,
@@ -113,16 +101,21 @@ class RecoveryCoordinator(Actor):
         self._last_check = -1.0
         # statistics
         self._obs = obs.current()
-        self._advancements = obs.counter("adg.coordinator.advancements")
-        self._publish_latency_total = obs.counter(
+        self.advancements = obs.counter("adg.coordinator.advancements")
+        self.publish_latency_total = obs.counter(
             "adg.coordinator.publish_latency_total"
         )
-        self._quiesce_wait_retries = obs.counter(
+        self.quiesce_wait_retries = obs.counter(
             "adg.coordinator.quiesce_wait_retries"
         )
-        self._publish_stalls = obs.counter("adg.coordinator.publish_stalls")
-        self._publish_delays = obs.counter("adg.coordinator.publish_delays")
-        self._publish_stall_time_total = obs.counter(
+        #: Publications postponed by an installed chaos STALL fault.
+        self.publish_stalls = obs.counter("adg.coordinator.publish_stalls")
+        #: Publications postponed by an installed chaos DELAY fault (counted
+        #: separately: a delay names its own duration, a stall retries).
+        self.publish_delays = obs.counter("adg.coordinator.publish_delays")
+        #: Wall time publications spent blocked on chaos stalls or the
+        #: quiesce lock -- excluded from the *adjusted* latency metrics.
+        self.publish_stall_time_total = obs.counter(
             "adg.coordinator.publish_stall_time_total"
         )
         self._publish_latency_hist = obs.histogram(
@@ -215,7 +208,7 @@ class RecoveryCoordinator(Actor):
             decision = chaos.consult("publish", target=target)
             if decision.action is sites.Action.STALL:
                 # hold the publication; retried on the next step
-                self._publish_stalls.inc()
+                self.publish_stalls.inc()
                 if self._stalled_since is None:
                     self._stalled_since = sched.now
                 return cost + COORDINATION_COST
@@ -223,13 +216,13 @@ class RecoveryCoordinator(Actor):
                 # hold the publication for the injected duration: the
                 # delay rides on the rescheduling cost so the retry only
                 # happens once the delay has elapsed
-                self._publish_delays.inc()
+                self.publish_delays.inc()
                 if self._stalled_since is None:
                     self._stalled_since = sched.now
                 return cost + COORDINATION_COST + max(decision.delay, 0.0)
         if not self.quiesce_lock.try_acquire_exclusive(self):
             # population is mid-capture; retry next step
-            self._quiesce_wait_retries.inc()
+            self.quiesce_wait_retries.inc()
             if self._stalled_since is None:
                 self._stalled_since = sched.now
             return cost + COORDINATION_COST
@@ -242,7 +235,7 @@ class RecoveryCoordinator(Actor):
         finally:
             self.quiesce_lock.release_exclusive(self)
         strategy.post_publish(target)
-        self._advancements.inc()
+        self.advancements.inc()
         latency = sched.now - self._advance_started_at
         # time this advancement spent *blocked* (injected stall, blocked
         # worklink drain or a held quiesce lock) rather than flushing and
@@ -254,8 +247,8 @@ class RecoveryCoordinator(Actor):
         if self._stalled_since is not None:
             stalled += sched.now - self._stalled_since
             self._stalled_since = None
-        self._publish_latency_total.inc(latency)
-        self._publish_stall_time_total.inc(stalled)
+        self.publish_latency_total.inc(latency)
+        self.publish_stall_time_total.inc(stalled)
         self._publish_latency_hist.observe(latency)
         self._adjusted_latency_hist.observe(latency - stalled)
         self._advancing_to = None
@@ -282,16 +275,17 @@ class RecoveryCoordinator(Actor):
     def mean_publish_latency(self) -> float:
         """Mean wall time from advance start to publication, *including*
         any time spent blocked on chaos stalls or the quiesce lock."""
-        if not self.advancements:
+        if not self.advancements.value:
             return 0.0
-        return self.publish_latency_total / self.advancements
+        return self.publish_latency_total.value / self.advancements.value
 
     @property
     def mean_adjusted_publish_latency(self) -> float:
         """Mean publish latency with blocked wall time (injected stalls,
         quiesce-lock waits) excluded: the advancement protocol's own cost."""
-        if not self.advancements:
+        if not self.advancements.value:
             return 0.0
         return (
-            self.publish_latency_total - self.publish_stall_time_total
-        ) / self.advancements
+            self.publish_latency_total.value
+            - self.publish_stall_time_total.value
+        ) / self.advancements.value

@@ -30,9 +30,6 @@ class LogMerger(Actor):
     #: Simulated CPU seconds to merge one record.
     COST_PER_RECORD = 1e-6
 
-    #: Records released past the merge watermark in SCN order.
-    records_merged = obs.view("_records_merged")
-
     def __init__(
         self,
         receiver: RedoReceiver,
@@ -50,7 +47,8 @@ class LogMerger(Actor):
         self.merged: deque[CVBatch] = deque()
         self.merged_through_scn: SCN = 0
         self._obs = obs.current()
-        self._records_merged = obs.counter("adg.merger.records_merged")
+        #: Records released past the merge watermark in SCN order.
+        self.records_merged = obs.counter("adg.merger.records_merged")
 
     # ------------------------------------------------------------------
     def _watermark(self) -> SCN:
@@ -97,7 +95,7 @@ class LogMerger(Actor):
                 for view in run.record_views():
                     tracer.record_merged(view)
         if released:
-            self._records_merged.inc(released)
+            self.records_merged.inc(released)
         return released
 
     def take_merged(self, n: int) -> list[CVBatch]:

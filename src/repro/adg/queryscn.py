@@ -42,15 +42,13 @@ class ListenerFanoutError(ReproError):
 class QuerySCNPublisher:
     """Holds the current QuerySCN and notifies listeners on advancement."""
 
-    publications = obs.view("_publications")
-
     def __init__(self, initial: SCN = NULL_SCN) -> None:
         self._value: SCN = initial
         #: (simulated time, value) pairs, for lag plots (Fig. 11).
         self.history: list[tuple[float, SCN]] = []
         self._listeners: list[Callable[[SCN], None]] = []
         self._obs = obs.current()
-        self._publications = obs.counter("adg.queryscn.publications")
+        self.publications = obs.counter("adg.queryscn.publications")
 
     @property
     def value(self) -> SCN:
@@ -70,7 +68,7 @@ class QuerySCNPublisher:
             return
         self._value = scn
         self.history.append((at_time, scn))
-        self._publications.inc()
+        self.publications.inc()
         tracer = obs.tracer_of(self._obs)
         if tracer is not None:
             tracer.record_published(scn)

@@ -74,13 +74,6 @@ class Subscription:
 class CDCEgress(InvalidationListener):
     """Tails the invalidation stream; emits a certified change feed."""
 
-    emitted = obs.view("_emitted")
-    resolved = obs.view("_resolved")
-    resyncs = obs.view("_resyncs")
-    backfill_rows = obs.view("_backfill_rows")
-    backfill_deduped = obs.view("_backfill_deduped")
-    backfill_chunks = obs.view("_backfill_chunks")
-
     def __init__(
         self, standby: "StandbyDatabase", sched: Scheduler
     ) -> None:
@@ -100,12 +93,12 @@ class CDCEgress(InvalidationListener):
             OrderedDict()
         )
         self.backfill_engine = BackfillEngine(self)
-        self._emitted = obs.counter("cdc.emitted")
-        self._resolved = obs.counter("cdc.resolved")
-        self._resyncs = obs.counter("cdc.resyncs")
-        self._backfill_rows = obs.counter("cdc.backfill_rows")
-        self._backfill_deduped = obs.counter("cdc.backfill_deduped")
-        self._backfill_chunks = obs.counter("cdc.backfill_chunks")
+        self.emitted = obs.counter("cdc.emitted")
+        self.resolved = obs.counter("cdc.resolved")
+        self.resyncs = obs.counter("cdc.resyncs")
+        self.backfill_rows = obs.counter("cdc.backfill_rows")
+        self.backfill_deduped = obs.counter("cdc.backfill_deduped")
+        self.backfill_chunks = obs.counter("cdc.backfill_chunks")
         self._cut_window = obs.histogram("cdc.cut_window")
         self._lag_hist = obs.histogram("cdc.subscriber_lag")
         self._depth_gauge = obs.gauge("cdc.queue_depth")
@@ -213,7 +206,7 @@ class CDCEgress(InvalidationListener):
                     self._backfills[oid] = BackfillState(oid, name)
                 else:
                     state.restart()
-            self._resyncs.inc()
+            self.resyncs.inc()
         pending, self._pending = self._pending, {}
         for oid, blocks in pending.items():
             name = self._captured.get(oid)
@@ -247,7 +240,7 @@ class CDCEgress(InvalidationListener):
                                 UPSERT, name, oid, scn, rowid, values
                             )
                         )
-                    self._resolved.inc()
+                    self.resolved.inc()
         # open watermark windows record this cut's touched rowids
         for event in events:
             if event.rowid is None:
@@ -266,7 +259,7 @@ class CDCEgress(InvalidationListener):
         hw: SCN,
         at_time: float,
     ) -> None:
-        self._backfill_rows.inc()
+        self.backfill_rows.inc()
         self._enqueue(
             [
                 ChangeEvent(
@@ -342,7 +335,7 @@ class CDCPump(Actor):
                 sub.target.on_event(event)
                 sub.delivered += 1
                 delivered += 1
-            self.egress._emitted.inc(delivered)
+            self.egress.emitted.inc(delivered)
             cost += self.COST_PER_EVENT * delivered
         self.egress._depth_gauge.set(
             max(

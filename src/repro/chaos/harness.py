@@ -10,7 +10,7 @@
 2. arm the scenario's :class:`~repro.chaos.plan.FaultPlan` on the
    simulated scheduler;
 3. drive the scenario's workload, sampling the redo lag over time into a
-   :class:`~repro.metrics.stats.TimeSeries`;
+   :class:`~repro.obs.registry.Series`;
 4. catch the standby up and evaluate every invariant;
 5. emit a :class:`ScenarioReport` whose rendering is **byte-stable**: it
    contains only values derived from the simulation (no wall clock, no
@@ -27,8 +27,7 @@ from repro import obs
 from repro.chaos.invariants import InvariantResult
 from repro.chaos.plan import ChaosContext, ChaosEvent
 from repro.chaos.sites import SiteRegistry, recording
-from repro.metrics.stats import TimeSeries
-from repro.obs.registry import MetricsSnapshot
+from repro.obs.registry import MetricsSnapshot, Series
 from repro.sim.scheduler import Actor, Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,7 +42,7 @@ class LagSampler(Actor):
         self.interval = interval
         self.name = "chaos-lag-sampler"
         self.node = None
-        self.series = TimeSeries("redo_lag_scns")
+        self.series = Series("redo_lag_scns")
 
     def step(self, sched: Scheduler) -> Optional[float]:
         self.series.record(sched.now, self.deployment.redo_lag_scns)
@@ -61,7 +60,7 @@ class ScenarioReport:
     events: list[ChaosEvent]
     invariants: list[InvariantResult]
     stats: dict[str, int]
-    lag: TimeSeries = field(default_factory=lambda: TimeSeries("lag"))
+    lag: Series = field(default_factory=lambda: Series("lag"))
     finished_at: float = 0.0
     #: Metrics snapshot of the run's collecting registry (None when the
     #: report was assembled without one, e.g. in unit tests).
@@ -92,8 +91,8 @@ class ScenarioReport:
             f"  {key} = {self.stats[key]}" for key in sorted(self.stats)
         ]
         if len(self.lag):
-            peak = max(self.lag.values)
-            final = self.lag.values[-1]
+            peak = max(value for __, value in self.lag.points)
+            final = self.lag.last_value
             lines += [
                 "",
                 f"lag: {len(self.lag)} samples, peak {peak:.0f} SCNs, "

@@ -189,11 +189,12 @@ class NoGapSkip(Invariant):
                     f"log's {len(log)} records",
                 )
         threads = len(deployment.primary.redo_logs)
-        resolved = receiver.gaps_resolved
+        resolved = receiver.gaps_resolved.value
         return self._result(
             True,
             f"{threads} threads contiguous, {resolved} gaps FAL-healed, "
-            f"{receiver.duplicates_discarded} duplicate records discarded",
+            f"{receiver.duplicates_discarded.value} duplicate records "
+            "discarded",
         )
 
 

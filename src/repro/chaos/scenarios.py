@@ -150,25 +150,27 @@ class Scenario:
             site.owner for site in ctx.registry.sites("redo.ship")
         ]
         return {
-            "advancements": standby.coordinator.advancements,
+            "advancements": standby.coordinator.advancements.value,
             "publications": len(standby.query_scn.history),
-            "publish_stalls": standby.coordinator.publish_stalls,
-            "gaps_resolved": receiver.gaps_resolved,
-            "gap_records_fetched": receiver.gap_records_fetched,
-            "duplicates_discarded": receiver.duplicates_discarded,
-            "receive_batches_dropped": receiver.batches_dropped,
+            "publish_stalls": standby.coordinator.publish_stalls.value,
+            "gaps_resolved": receiver.gaps_resolved.value,
+            "gap_records_fetched": receiver.gap_records_fetched.value,
+            "duplicates_discarded": receiver.duplicates_discarded.value,
+            "receive_batches_dropped": receiver.batches_dropped.value,
             "ship_records_dropped": sum(
-                s.records_dropped for s in shippers
+                s.records_dropped.value for s in shippers
             ),
             "worker_cvs_applied": sum(
-                w.cvs_applied for w in standby.workers
+                w.cvs_applied.value for w in standby.workers
             ),
             "worker_chaos_stalls": sum(
-                w.chaos_stalls for w in standby.workers
+                w.chaos_stalls.value for w in standby.workers
             ),
-            "flush_nodes": standby.flush.nodes_flushed,
-            "flush_nodes_by_workers": standby.flush.nodes_flushed_by_workers,
-            "flush_chaos_stalls": standby.flush.chaos_stalls,
+            "flush_nodes": standby.flush.nodes_flushed.value,
+            "flush_nodes_by_workers": (
+                standby.flush.nodes_flushed_by_workers.value
+            ),
+            "flush_chaos_stalls": standby.flush.chaos_stalls.value,
             "journal_anchors": standby.journal.anchor_count,
             "commit_table_nodes": len(standby.commit_table),
             "standby_restarts": standby.restarts,
@@ -318,7 +320,7 @@ class CheckpointCrash(Scenario):
             "last_restart_units_restored": (
                 report.units_restored if report is not None else 0
             ),
-            "tail_commits_skipped": standby.miner.tail_commits_skipped,
+            "tail_commits_skipped": standby.miner.tail_commits_skipped.value,
         })
         return stats
 
@@ -772,7 +774,7 @@ class StandbyLossMidWave(Scenario):
                 len(m.standby.query_scn.history) for m in fleet.members
             ),
             "gaps_resolved": sum(
-                m.standby.receiver.gaps_resolved for m in fleet.members
+                m.standby.receiver.gaps_resolved.value for m in fleet.members
             ),
         }
         for target in sorted(router.routed_by_target):
@@ -797,8 +799,8 @@ class _CDCFeedMatchesStandby(Invariant):
         if not egress.drained:
             return self._result(
                 False,
-                f"egress never drained: {egress.emitted} emitted, "
-                f"{egress.resolved} cuts resolved so far",
+                f"egress never drained: {egress.emitted.value} emitted, "
+                f"{egress.resolved.value} cuts resolved so far",
             )
         expected = sorted(ctx.deployment.standby.query(self.table).rows)
         got = replica.rows(self.table)
@@ -810,8 +812,9 @@ class _CDCFeedMatchesStandby(Invariant):
             )
         return self._result(
             True,
-            f"{len(got)} rows identical after {egress.emitted} events "
-            f"({egress.backfill_rows} backfilled, {egress.resyncs} resyncs)",
+            f"{len(got)} rows identical after {egress.emitted.value} events "
+            f"({egress.backfill_rows.value} backfilled, "
+            f"{egress.resyncs.value} resyncs)",
         )
 
 
@@ -894,12 +897,12 @@ class CDCBackfillStorm(Scenario):
         stats = super().stats(ctx)
         egress = self._egress
         stats.update({
-            "cdc_emitted": int(egress.emitted),
-            "cdc_resolved": int(egress.resolved),
-            "cdc_resyncs": int(egress.resyncs),
-            "cdc_backfill_rows": int(egress.backfill_rows),
-            "cdc_backfill_chunks": int(egress.backfill_chunks),
-            "cdc_backfill_deduped": int(egress.backfill_deduped),
+            "cdc_emitted": int(egress.emitted.value),
+            "cdc_resolved": int(egress.resolved.value),
+            "cdc_resyncs": int(egress.resyncs.value),
+            "cdc_backfill_rows": int(egress.backfill_rows.value),
+            "cdc_backfill_chunks": int(egress.backfill_chunks.value),
+            "cdc_backfill_deduped": int(egress.backfill_deduped.value),
         })
         return stats
 

@@ -44,8 +44,6 @@ class CommitTableNode:
 class IMADGCommitTable:
     """CommitSCN-sorted, partitioned lists of commit-table nodes."""
 
-    inserts = obs.view("_inserts")
-
     def __init__(self, n_partitions: int = 4) -> None:
         if n_partitions < 1:
             raise ValueError("commit table needs at least one partition")
@@ -53,7 +51,7 @@ class IMADGCommitTable:
             [] for __ in range(n_partitions)
         ]
         self.latches = BucketLatchSet(n_partitions, name="im-adg-commit")
-        self._inserts = obs.counter("dbim.commit_table.inserts")
+        self.inserts = obs.counter("dbim.commit_table.inserts")
 
     @property
     def n_partitions(self) -> int:
@@ -74,7 +72,7 @@ class IMADGCommitTable:
                 partition, node.commit_scn, key=lambda n: n.commit_scn
             )
             partition.insert(position, node)
-            self._inserts.inc()
+            self.inserts.inc()
             return True
         finally:
             latch.release(owner)
@@ -117,7 +115,7 @@ class IMADGCommitTable:
             finally:
                 latch.release(owner)
         if inserted:
-            self._inserts.inc(inserted)
+            self.inserts.inc(inserted)
         return leftover
 
     def chop(self, up_to_scn: SCN) -> list[CommitTableNode]:

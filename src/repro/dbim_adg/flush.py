@@ -204,18 +204,6 @@ class Worklink:
 class InvalidationFlushComponent:
     """Implements the coordinator's AdvanceProtocol for DBIM-on-ADG."""
 
-    nodes_flushed = obs.view("_nodes_flushed")
-    nodes_flushed_by_workers = obs.view("_nodes_flushed_by_workers")
-    groups_created = obs.view("_groups_created")
-    coarse_flushes = obs.view("_coarse_flushes")
-    ddl_processed = obs.view("_ddl_processed")
-    #: Flush calls skipped by an installed chaos fault.
-    chaos_stalls = obs.view("_chaos_stalls")
-    #: Routing ops diverted to the staging buffer (deferred strategy).
-    staged_ops = obs.view("_staged_ops_counter")
-    #: Journal anchors retired post-publication (deferred strategy).
-    staged_retired = obs.view("_staged_retired")
-
     def __init__(
         self,
         journal: IMADGJournal,
@@ -253,16 +241,19 @@ class InvalidationFlushComponent:
         self._pending_retire: deque = deque()
         # statistics
         self._obs = obs.current()
-        self._nodes_flushed = obs.counter("dbim.flush.nodes_flushed")
-        self._nodes_flushed_by_workers = obs.counter(
+        self.nodes_flushed = obs.counter("dbim.flush.nodes_flushed")
+        self.nodes_flushed_by_workers = obs.counter(
             "dbim.flush.nodes_flushed_by_workers"
         )
-        self._groups_created = obs.counter("dbim.flush.groups_created")
-        self._coarse_flushes = obs.counter("dbim.flush.coarse_flushes")
-        self._ddl_processed = obs.counter("dbim.flush.ddl_processed")
-        self._chaos_stalls = obs.counter("dbim.flush.chaos_stalls")
-        self._staged_ops_counter = obs.counter("dbim.flush.staged_ops")
-        self._staged_retired = obs.counter("dbim.flush.staged_retired")
+        self.groups_created = obs.counter("dbim.flush.groups_created")
+        self.coarse_flushes = obs.counter("dbim.flush.coarse_flushes")
+        self.ddl_processed = obs.counter("dbim.flush.ddl_processed")
+        #: Flush calls skipped by an installed chaos fault.
+        self.chaos_stalls = obs.counter("dbim.flush.chaos_stalls")
+        #: Routing ops diverted to the staging buffer (deferred strategy).
+        self.staged_ops = obs.counter("dbim.flush.staged_ops")
+        #: Journal anchors retired post-publication (deferred strategy).
+        self.staged_retired = obs.counter("dbim.flush.staged_retired")
         self._chaos = sites.declare("flush.worklink", owner=self)
         #: Observers of flushed invalidations (e.g. the query result
         #: cache).  Each listener is called *during* the flush -- i.e.
@@ -326,7 +317,7 @@ class InvalidationFlushComponent:
             return 0
         flushed = self._flush_nodes(batch, by_worker=True)
         if flushed > 0:
-            self._nodes_flushed_by_workers.inc(flushed)
+            self.nodes_flushed_by_workers.inc(flushed)
         return flushed
 
     # ------------------------------------------------------------------
@@ -347,7 +338,7 @@ class InvalidationFlushComponent:
             )
             if decision.action is sites.Action.STALL:
                 # worklink draining held back; the caller retries later
-                self._chaos_stalls.inc()
+                self.chaos_stalls.inc()
                 return -1
         flushed = 0
         while worklink.nodes and flushed < batch:
@@ -355,7 +346,7 @@ class InvalidationFlushComponent:
             self._flush_one(node)
             flushed += 1
         if flushed:
-            self._nodes_flushed.inc(flushed)
+            self.nodes_flushed.inc(flushed)
         return flushed
 
     def _flush_one(self, node: CommitTableNode) -> None:
@@ -365,10 +356,10 @@ class InvalidationFlushComponent:
                 self._staged_ops.append(
                     ("coarse", node.tenant, node.commit_scn)
                 )
-                self._staged_ops_counter.inc()
+                self.staged_ops.inc()
             else:
                 self.router.route_coarse(node.tenant, node.commit_scn)
-            self._coarse_flushes.inc()
+            self.coarse_flushes.inc()
             self._notify_coarse(node.tenant, node.commit_scn)
         elif node.anchor is not None:
             for group in gather_groups(
@@ -376,10 +367,10 @@ class InvalidationFlushComponent:
             ):
                 if staged:
                     self._staged_ops.append(("group", group))
-                    self._staged_ops_counter.inc()
+                    self.staged_ops.inc()
                 else:
                     self.router.route(group)
-                self._groups_created.inc()
+                self.groups_created.inc()
                 self._notify_group(group)
         # the anchor's job is done: release it from the journal.  The flush
         # owns the advancement critical path, so an unbounded retry here
@@ -435,7 +426,7 @@ class InvalidationFlushComponent:
             self.journal.remove_with_recovery(xid, self)
             retired += 1
         if retired:
-            self._staged_retired.inc(retired)
+            self.staged_retired.inc(retired)
         return retired
 
     # ------------------------------------------------------------------
@@ -448,7 +439,7 @@ class InvalidationFlushComponent:
                 self._notify_ddl(object_id, entry.scn)
             if self.ddl_applier is not None:
                 self.ddl_applier(entry.payload)
-            self._ddl_processed.inc()
+            self.ddl_processed.inc()
 
     # ------------------------------------------------------------------
     def clear(self) -> None:

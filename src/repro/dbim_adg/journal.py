@@ -110,9 +110,6 @@ class AnchorNode:
 class IMADGJournal:
     """Hash table of anchor nodes with bucket latches."""
 
-    anchors_created = obs.view("_anchors_created")
-
-    latch_breaks = obs.view("_latch_breaks")
 
     def __init__(self, n_buckets: int = 64) -> None:
         if n_buckets < 1:
@@ -125,8 +122,8 @@ class IMADGJournal:
         #: fed by every anchor's ``floor_sink``, consumed (and pruned of
         #: stale entries) by :meth:`min_first_scn`.
         self._floor_heap: list[tuple[SCN, TransactionId]] = []
-        self._anchors_created = obs.counter("dbim.journal.anchors_created")
-        self._latch_breaks = obs.counter("dbim.journal.latch_breaks")
+        self.anchors_created = obs.counter("dbim.journal.anchors_created")
+        self.latch_breaks = obs.counter("dbim.journal.latch_breaks")
 
     def _note_floor(self, scn: SCN, xid: TransactionId) -> None:
         heapq.heappush(self._floor_heap, (scn, xid))
@@ -150,7 +147,7 @@ class IMADGJournal:
                 anchor = AnchorNode(xid=xid, tenant=tenant)
                 anchor.floor_sink = self._note_floor
                 self._buckets[index][xid] = anchor
-                self._anchors_created.inc()
+                self.anchors_created.inc()
             return anchor
         finally:
             latch.release(owner)
@@ -194,7 +191,7 @@ class IMADGJournal:
         latch = self.latches.latch_for(index)
         broken = latch.break_held()
         if broken is not None:
-            self._latch_breaks.inc()
+            self.latch_breaks.inc()
 
     def remove_with_recovery(
         self, xid: TransactionId, owner: object, spins: int = 3

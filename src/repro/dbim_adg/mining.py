@@ -49,14 +49,6 @@ from repro.redo.records import CVOp, ChangeVector, CommitPayload
 class MiningComponent:
     """Sniffs change vectors during redo apply."""
 
-    data_records_mined = obs.view("_data_records_mined")
-    control_records_mined = obs.view("_control_records_mined")
-    ddl_markers_mined = obs.view("_ddl_markers_mined")
-    latch_misses = obs.view("_latch_misses")
-    coarse_nodes_created = obs.view("_coarse_nodes_created")
-    #: Missing-begin commits skipped during instant-restart tail replay.
-    tail_commits_skipped = obs.view("_tail_commits_skipped")
-
     def __init__(
         self,
         journal: IMADGJournal,
@@ -83,14 +75,15 @@ class MiningComponent:
         self.tail_mode = False
         # statistics
         self._obs = obs.current()
-        self._data_records_mined = obs.counter("dbim.miner.data_records")
-        self._control_records_mined = obs.counter(
+        self.data_records_mined = obs.counter("dbim.miner.data_records")
+        self.control_records_mined = obs.counter(
             "dbim.miner.control_records"
         )
-        self._ddl_markers_mined = obs.counter("dbim.miner.ddl_markers")
-        self._latch_misses = obs.counter("dbim.miner.latch_misses")
-        self._coarse_nodes_created = obs.counter("dbim.miner.coarse_nodes")
-        self._tail_commits_skipped = obs.counter(
+        self.ddl_markers_mined = obs.counter("dbim.miner.ddl_markers")
+        self.latch_misses = obs.counter("dbim.miner.latch_misses")
+        self.coarse_nodes_created = obs.counter("dbim.miner.coarse_nodes")
+        #: Missing-begin commits skipped during instant-restart tail replay.
+        self.tail_commits_skipped = obs.counter(
             "dbim.miner.tail_commits_skipped"
         )
         #: CVs per bulk-mined chunk.
@@ -104,27 +97,27 @@ class MiningComponent:
         if op is CVOp.TXN_BEGIN:
             anchor = self.journal.get_or_create(cv.xid, cv.tenant, owner)
             if anchor is None:
-                self._latch_misses.inc()
+                self.latch_misses.inc()
                 return False
             anchor.has_begin = True
             anchor.note_scn(scn)
-            self._control_records_mined.inc()
+            self.control_records_mined.inc()
             return True
         if op is CVOp.TXN_PREPARE:
             anchor = self.journal.get_or_create(cv.xid, cv.tenant, owner)
             if anchor is None:
-                self._latch_misses.inc()
+                self.latch_misses.inc()
                 return False
             anchor.prepared = True
             anchor.note_scn(scn)
-            self._control_records_mined.inc()
+            self.control_records_mined.inc()
             return True
         if op is CVOp.TXN_ABORT:
             removed = self.journal.remove(cv.xid, owner)
             if removed is None:
-                self._latch_misses.inc()
+                self.latch_misses.inc()
                 return False
-            self._control_records_mined.inc()
+            self.control_records_mined.inc()
             if self.on_abort is not None:
                 self.on_abort(cv.xid, scn)
             return True
@@ -223,7 +216,7 @@ class MiningComponent:
                 chunk.pending_commits, owner
             )
             if leftover:
-                self._latch_misses.inc()
+                self.latch_misses.inc()
                 chunk.pending_commits = leftover
                 return False
             chunk.pending_commits = None
@@ -270,7 +263,7 @@ class MiningComponent:
                     decode_xid(code), tenant, owner
                 )
                 if anchor is None:
-                    self._latch_misses.inc()
+                    self.latch_misses.inc()
                     return False
                 anchor.add_batch(
                     worker_id,
@@ -280,7 +273,7 @@ class MiningComponent:
                     batch.scns[grp],
                     tenant,
                 )
-                self._data_records_mined.inc(int(grp.size))
+                self.data_records_mined.inc(int(grp.size))
                 mined.add(code)
         if tracer is not None:
             for s in batch.scns[idx]:
@@ -294,7 +287,7 @@ class MiningComponent:
         defer their commit-table insert to the chunk's batch insert."""
         if cv.op is CVOp.DDL_MARKER:
             self.ddl_table.add(scn, cv.payload)
-            self._ddl_markers_mined.inc()
+            self.ddl_markers_mined.inc()
             return True
         if cv.op is CVOp.TXN_COMMIT:
             return self._sniff_commit(cv, chunk, owner)
@@ -308,7 +301,7 @@ class MiningComponent:
         payload: CommitPayload = cv.payload
         acquired, anchor = self.journal.get(cv.xid, owner)
         if not acquired:
-            self._latch_misses.inc()
+            self.latch_misses.inc()
             return False
         if anchor is not None and anchor.has_begin:
             node = CommitTableNode(
@@ -324,7 +317,7 @@ class MiningComponent:
             #   True/None  -> coarse invalidation of the tenant's IMCUs
             #                 (None = no specialized redo: be pessimistic).
             if payload.modifies_imcs is False:
-                self._control_records_mined.inc()
+                self.control_records_mined.inc()
                 return True
             if self.tail_mode:
                 # Instant-restart tail replay: a commit whose begin lies
@@ -332,8 +325,8 @@ class MiningComponent:
                 # invalidations were flushed into the checkpointed masks
                 # before capture (see repro.restart.replay) -- skipping is
                 # exact, not pessimistic.
-                self._tail_commits_skipped.inc()
-                self._control_records_mined.inc()
+                self.tail_commits_skipped.inc()
+                self.control_records_mined.inc()
                 return True
             node = CommitTableNode(
                 xid=cv.xid,
@@ -342,17 +335,17 @@ class MiningComponent:
                 tenant=cv.tenant,
                 coarse=True,
             )
-            self._coarse_nodes_created.inc()
+            self.coarse_nodes_created.inc()
         if chunk.pending_commits is None:
             chunk.pending_commits = []
         chunk.pending_commits.append(node)
-        self._control_records_mined.inc()
+        self.control_records_mined.inc()
         return True
 
     def clear(self) -> None:
         """Reset statistics (state lives in the journal/tables)."""
-        self.data_records_mined = 0
-        self.control_records_mined = 0
-        self.ddl_markers_mined = 0
-        self.latch_misses = 0
-        self.coarse_nodes_created = 0
+        self.data_records_mined.value = 0
+        self.control_records_mined.value = 0
+        self.ddl_markers_mined.value = 0
+        self.latch_misses.value = 0
+        self.coarse_nodes_created.value = 0

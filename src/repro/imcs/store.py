@@ -70,15 +70,12 @@ class InMemorySegment:
 class InMemoryColumnStore:
     """Registry of enabled objects and their IMCU/SMU pairs."""
 
-    rows_invalidated = obs.view("_rows_invalidated")
-    coarse_invalidations = obs.view("_coarse_invalidations")
-
     def __init__(self, pool_size_bytes: Optional[int] = None) -> None:
         self.pool_size_bytes = pool_size_bytes
         self._segments: dict[ObjectId, InMemorySegment] = {}
         # statistics
-        self._rows_invalidated = obs.counter("imcs.rows_invalidated")
-        self._coarse_invalidations = obs.counter("imcs.coarse_invalidations")
+        self.rows_invalidated = obs.counter("imcs.rows_invalidated")
+        self.coarse_invalidations = obs.counter("imcs.coarse_invalidations")
 
     # ------------------------------------------------------------------
     # enablement
@@ -221,14 +218,14 @@ class InMemoryColumnStore:
         for dba in old.invalid_blocks:
             if smu.imcu.covers_dba(dba):
                 smu.invalidate_block(dba, scn)
-                self._rows_invalidated.inc()
+                self.rows_invalidated.inc()
         batches = [
             (dba, tuple(slots))
             for dba, slots in old.invalid_row_slots().items()
             if smu.imcu.covers_dba(dba)
         ]
         if batches:
-            self._rows_invalidated.inc(smu.invalidate_slots(batches, scn))
+            self.rows_invalidated.inc(smu.invalidate_slots(batches, scn))
 
     def restore_unit(
         self,
@@ -354,7 +351,7 @@ class InMemoryColumnStore:
                 pending.append(_PendingInvalidation(dba, slots, scn))
             elif not slots:
                 smu.invalidate_block(dba, scn)
-                self._rows_invalidated.inc()
+                self.rows_invalidated.inc()
             else:
                 entry = batches.get(id(smu))
                 if entry is None:
@@ -362,16 +359,16 @@ class InMemoryColumnStore:
                 else:
                     entry[1].append((dba, slots))
         for smu, batch in batches.values():
-            self._rows_invalidated.inc(smu.invalidate_slots(batch, scn))
+            self.rows_invalidated.inc(smu.invalidate_slots(batch, scn))
 
     def _apply_to_smu(
         self, smu: SMU, dba: DBA, slots: tuple[int, ...], scn: SCN
     ) -> None:
         if not slots:
             smu.invalidate_block(dba, scn)
-            self._rows_invalidated.inc()
+            self.rows_invalidated.inc()
             return
-        self._rows_invalidated.inc(smu.invalidate_slots([(dba, slots)], scn))
+        self.rows_invalidated.inc(smu.invalidate_slots([(dba, slots)], scn))
 
     def invalidate_object(self, object_id: ObjectId, scn: SCN) -> None:
         segment = self._segments.get(object_id)
@@ -379,7 +376,7 @@ class InMemoryColumnStore:
             return
         for smu in segment.live_units():
             smu.invalidate_fully(scn)
-        self._coarse_invalidations.inc()
+        self.coarse_invalidations.inc()
 
     def invalidate_tenant(self, tenant: TenantId, scn: SCN) -> int:
         """Coarse invalidation (paper, III-E): every IMCU of a tenant."""
@@ -391,7 +388,7 @@ class InMemoryColumnStore:
                 smu.invalidate_fully(scn)
                 touched += 1
         if touched:
-            self._coarse_invalidations.inc()
+            self.coarse_invalidations.inc()
         return touched
 
     # ------------------------------------------------------------------

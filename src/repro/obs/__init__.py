@@ -1,6 +1,6 @@
 """repro.obs -- first-class observability for the redo pipeline.
 
-Two pieces (see DESIGN.md §10):
+Three pieces (see DESIGN.md §10):
 
 * :class:`~repro.obs.registry.MetricsRegistry` -- named counters /
   gauges / histograms / series with label support and deterministic
@@ -8,13 +8,19 @@ Two pieces (see DESIGN.md §10):
 * :class:`~repro.obs.lifecycle.RedoLifecycleTracer` -- stamps tracked
   redo records through the pipeline stages on the sim clock, yielding
   per-stage latency histograms and the end-to-end "redo visibility lag"
-  (Fig. 11) from instruments instead of bench-side bookkeeping.
+  (Fig. 11) from instruments instead of bench-side bookkeeping;
+* :mod:`repro.obs.render` -- the plain-text tables and figures every
+  report prints.
+
+:class:`Histogram` and :class:`Series` also serve free-standing (built
+directly, outside any registry) for the workload's query latencies and
+sampled progress curves; :func:`percentile` is the one percentile rule.
 
 Activation mirrors :mod:`repro.chaos.sites`: pipeline components declare
 their instruments at construction through the module-level helpers
 (``obs.counter(...)``); while a registry is :func:`collecting`, the
 instruments land there, otherwise they are free-standing (still live, so
-the components' attribute views keep working with zero setup)::
+``component.stat.value`` reads work with zero setup)::
 
     registry = MetricsRegistry()
     with obs.collecting(registry):
@@ -38,6 +44,7 @@ from repro.obs.registry import (
     MetricsRegistry,
     MetricsSnapshot,
     Series,
+    percentile,
 )
 from repro.obs.lifecycle import STAGES, RedoLifecycleTracer
 
@@ -90,30 +97,6 @@ def series(name: str, **labels) -> Series:
     return Series(name, tuple(sorted((k, str(v)) for k, v in labels.items())))
 
 
-class view:
-    """Class-level descriptor exposing an instrument's value as a plain
-    read/write attribute -- the thin view that keeps the pipeline's legacy
-    counter APIs (``component.duplicates_discarded``, ``+= 1`` updates,
-    ``clear()`` resets) working over registry-backed instruments.
-
-        class RedoReceiver:
-            gaps_resolved = obs.view("_gaps_resolved")
-            def __init__(self):
-                self._gaps_resolved = obs.counter("redo.receiver.gaps_resolved")
-    """
-
-    def __init__(self, attr: str) -> None:
-        self._attr = attr
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        return getattr(obj, self._attr).value
-
-    def __set__(self, obj, value) -> None:
-        getattr(obj, self._attr).value = value
-
-
 def tracer_of(registry: Optional[MetricsRegistry]) -> Optional[RedoLifecycleTracer]:
     """The registry's tracer, tolerating a None registry (hot-path sugar)."""
     return registry.tracer if registry is not None else None
@@ -134,7 +117,7 @@ __all__ = [
     "current",
     "gauge",
     "histogram",
+    "percentile",
     "series",
     "tracer_of",
-    "view",
 ]

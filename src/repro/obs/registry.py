@@ -16,9 +16,9 @@ Instruments are identified by a dotted ``name`` plus optional labels
 out *distinct* instruments per declaration: when a second component
 declares an identical (name, labels) pair -- e.g. one RecoveryWorker per
 MIRA apply instance -- the registry disambiguates it with an automatic
-``i`` label instead of silently sharing the count, so the per-component
-attribute views the pipeline exposes stay exact.  Aggregation across the
-duplicates is a read-side concern (:meth:`MetricsRegistry.total`).
+``i`` label instead of silently sharing the count, so every component's
+own instruments stay exact.  Aggregation across the duplicates is a
+read-side concern (:meth:`MetricsRegistry.total`).
 
 Components bind instruments at construction through the module-level
 helpers in :mod:`repro.obs`; with no registry collecting they receive
@@ -30,9 +30,10 @@ any harness.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Iterator, Optional
+import math
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-from repro.metrics.stats import _percentile_of_sorted
+from repro.obs.render import render_table
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.lifecycle import RedoLifecycleTracer
@@ -45,6 +46,23 @@ Labels = tuple[tuple[str, str], ...]
 
 def _freeze_labels(labels: dict) -> Labels:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
+
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """Linear-interpolation percentile, ``q`` in [0, 100] (the
+    ``numpy.percentile`` default)."""
+    if not values:
+        raise ValueError("no values")
+    if not 0 <= q <= 100:
+        raise ValueError("percentile must be within [0, 100]")
+    ordered = sorted(values)
+    rank = (len(ordered) - 1) * q / 100.0
+    low = math.floor(rank)
+    high = math.ceil(rank)
+    if low == high:
+        return ordered[low]
+    weight = rank - low
+    return ordered[low] * (1 - weight) + ordered[high] * weight
 
 
 class Instrument:
@@ -72,9 +90,8 @@ class Instrument:
 
 
 class Counter(Instrument):
-    """A numeric total.  ``value`` is writable so the pipeline's legacy
-    attribute APIs (``component.stat += 1``, ``clear()`` resets) keep
-    working as thin views over the instrument."""
+    """A numeric total.  ``value`` is writable so a component's
+    ``clear()`` can reset it (``self.stat.value = 0``)."""
 
     kind = "counter"
     __slots__ = ("value",)
@@ -138,9 +155,9 @@ class Histogram(Instrument):
             "min": ordered[0],
             "max": ordered[-1],
             "mean": total / len(ordered),
-            "p50": _percentile_of_sorted(ordered, 50),
-            "p95": _percentile_of_sorted(ordered, 95),
-            "p99": _percentile_of_sorted(ordered, 99),
+            "p50": percentile(ordered, 50),
+            "p95": percentile(ordered, 95),
+            "p99": percentile(ordered, 99),
         }
 
     def export(self) -> dict:
@@ -315,8 +332,6 @@ class MetricsSnapshot:
 
     def to_text(self) -> str:
         """Pretty-printed snapshot: one section per instrument kind."""
-        from repro.metrics.render import render_table
-
         def label_str(entry: dict) -> str:
             if not entry["labels"]:
                 return entry["name"]
@@ -365,3 +380,4 @@ class MetricsSnapshot:
         if not sections:
             return "(empty snapshot)"
         return "\n\n".join(sections)
+

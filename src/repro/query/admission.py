@@ -60,10 +60,6 @@ class Waiter:
 class AdmissionController:
     """Bounded concurrency with a FIFO wait queue."""
 
-    admitted = obs.view("_admitted")
-    rejected = obs.view("_rejected")
-    timeouts = obs.view("_timeouts")
-
     def __init__(
         self,
         limit: Optional[int] = None,
@@ -78,9 +74,9 @@ class AdmissionController:
         self._active = 0
         self._active_by_service: dict[str, int] = {}
         self._waiters: deque[Waiter] = deque()
-        self._admitted = obs.counter("query.admission.admitted")
-        self._rejected = obs.counter("query.admission.rejected")
-        self._timeouts = obs.counter("query.admission.timeouts")
+        self.admitted = obs.counter("query.admission.admitted")
+        self.rejected = obs.counter("query.admission.rejected")
+        self.timeouts = obs.counter("query.admission.timeouts")
         self._active_gauge = obs.gauge("query.admission.active")
         self._queue_gauge = obs.gauge("query.admission.queue_depth")
         self._wait_seconds = obs.histogram("query.admission.wait_seconds")
@@ -114,7 +110,7 @@ class AdmissionController:
             w.ready() for w in self._waiters if not w.cancelled
         )
         if blocked or not self._admissible(service_name):
-            self._rejected.inc()
+            self.rejected.inc()
             return False
         self._grant_slot(service_name, waited=0.0)
         return True
@@ -139,7 +135,7 @@ class AdmissionController:
             self.queue_limit is not None
             and len(self._waiters) >= self.queue_limit
         ):
-            self._rejected.inc()
+            self.rejected.inc()
             raise PoolExhaustedError(
                 f"admission queue full ({self.queue_limit} waiting)"
             )
@@ -176,7 +172,7 @@ class AdmissionController:
                 continue
             if waiter.expired(now):
                 expired += 1
-                self._timeouts.inc()
+                self.timeouts.inc()
                 self._wait_seconds.observe(now - waiter.enqueued_at)
                 if waiter.on_timeout is not None:
                     waiter.on_timeout()
@@ -191,7 +187,7 @@ class AdmissionController:
         self._active_by_service[service_name] = (
             self.active_for(service_name) + 1
         )
-        self._admitted.inc()
+        self.admitted.inc()
         self._active_gauge.set(self._active)
         self._wait_seconds.observe(waited)
 

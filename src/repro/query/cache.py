@@ -42,12 +42,6 @@ CacheKey = Hashable
 class ResultCache(InvalidationListener):
     """LRU result cache with object-granular invalidation."""
 
-    hits = obs.view("_hits")
-    misses = obs.view("_misses")
-    stores = obs.view("_stores")
-    stale_stores = obs.view("_stale_stores")
-    invalidation_evictions = obs.view("_invalidation_evictions")
-
     def __init__(self, capacity: int = 256) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be positive")
@@ -59,11 +53,11 @@ class ResultCache(InvalidationListener):
         self._by_object: dict[ObjectId, set[CacheKey]] = {}
         self._epochs: dict[ObjectId, int] = {}
         self._global_epoch = 0
-        self._hits = obs.counter("query.cache.hits")
-        self._misses = obs.counter("query.cache.misses")
-        self._stores = obs.counter("query.cache.stores")
-        self._stale_stores = obs.counter("query.cache.stale_stores")
-        self._invalidation_evictions = obs.counter(
+        self.hits = obs.counter("query.cache.hits")
+        self.misses = obs.counter("query.cache.misses")
+        self.stores = obs.counter("query.cache.stores")
+        self.stale_stores = obs.counter("query.cache.stale_stores")
+        self.invalidation_evictions = obs.counter(
             "query.cache.invalidation_evictions"
         )
         self._entries_gauge = obs.gauge("query.cache.entries")
@@ -101,10 +95,10 @@ class ResultCache(InvalidationListener):
         cost -- the original scan's cost stays on the stored entry."""
         entry = self._entries.get(key)
         if entry is None:
-            self._misses.inc()
+            self.misses.inc()
             return None
         self._entries.move_to_end(key)
-        self._hits.inc()
+        self.hits.inc()
         result, __ = entry
         return ScanResult(
             rows=list(result.rows),
@@ -122,7 +116,7 @@ class ResultCache(InvalidationListener):
         invalidated since ``epochs`` were captured at submit time."""
         object_ids = frozenset(object_ids)
         if epochs is not None and epochs != self.snapshot_epochs(object_ids):
-            self._stale_stores.inc()
+            self.stale_stores.inc()
             return False
         if key in self._entries:
             self._drop(key)
@@ -132,7 +126,7 @@ class ResultCache(InvalidationListener):
         self._entries[key] = (result, object_ids)
         for oid in object_ids:
             self._by_object.setdefault(oid, set()).add(key)
-        self._stores.inc()
+        self.stores.inc()
         self._entries_gauge.set(len(self._entries))
         return True
 
@@ -150,11 +144,11 @@ class ResultCache(InvalidationListener):
         self._epochs[object_id] = self._epochs.get(object_id, 0) + 1
         for key in list(self._by_object.get(object_id, ())):
             self._drop(key)
-            self._invalidation_evictions.inc()
+            self.invalidation_evictions.inc()
 
     def clear(self) -> None:
         self._global_epoch += 1
-        self._invalidation_evictions.inc(len(self._entries))
+        self.invalidation_evictions.inc(len(self._entries))
         self._entries.clear()
         self._by_object.clear()
         self._entries_gauge.set(0)

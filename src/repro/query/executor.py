@@ -129,9 +129,6 @@ class QueryWorkerPool:
       stats are identical to the sim backend and the serial scan.
     """
 
-    queries_submitted = obs.view("_queries")
-    morsels_dispatched = obs.view("_morsels")
-
     def __init__(
         self,
         sched: Scheduler,
@@ -149,8 +146,8 @@ class QueryWorkerPool:
         self.sched = sched
         self.parallel_backend = parallel_backend
         self._queue: deque[tuple[PendingQuery, int]] = deque()
-        self._queries = obs.counter("query.pool.queries")
-        self._morsels = obs.counter("query.pool.morsels")
+        self.queries_submitted = obs.counter("query.pool.queries")
+        self.morsels_dispatched = obs.counter("query.pool.morsels")
         self._queue_depth = obs.gauge("query.pool.queue_depth")
         self._query_seconds = obs.histogram("query.pool.query_seconds")
         self._wall_seconds = obs.histogram("query.pool.wall_seconds")
@@ -177,7 +174,7 @@ class QueryWorkerPool:
         if self._process_backend is not None:
             return self._submit_process(morsels)
         pending = PendingQuery(morsels, self.sched.now)
-        self._queries.inc()
+        self.queries_submitted.inc()
         if morsels:
             for index in range(len(morsels)):
                 self._queue.append((pending, index))
@@ -191,7 +188,7 @@ class QueryWorkerPool:
     def _submit_process(self, morsels: list[ScanMorsel]) -> PendingQuery:
         """Process backend: execute synchronously, merge in plan order."""
         pending = PendingQuery(morsels, self.sched.now)
-        self._queries.inc()
+        self.queries_submitted.inc()
         if not morsels:
             self._query_seconds.observe(0.0)
             return pending
@@ -200,7 +197,7 @@ class QueryWorkerPool:
         self.last_wall_seconds = time.perf_counter() - started
         self._wall_seconds.observe(self.last_wall_seconds)
         for index, partial in enumerate(partials):
-            self._morsels.inc()
+            self.morsels_dispatched.inc()
             pending._set_partial(index, partial, self.sched.now)
         return pending
 
@@ -215,7 +212,7 @@ class QueryWorkerPool:
         if not self._queue:
             return None
         item = self._queue.popleft()
-        self._morsels.inc()
+        self.morsels_dispatched.inc()
         self._queue_depth.set(len(self._queue))
         return item
 

@@ -68,8 +68,6 @@ class StandbySatellite:
     its IMCS, population engine and locally-published QuerySCN.
     """
 
-    groups_received = obs.view("_groups_received")
-
     def __init__(
         self,
         instance_id: InstanceId,
@@ -97,7 +95,7 @@ class StandbySatellite:
             dba_filter=self._is_homed_here,
         )
         self.scan_engine = ScanEngine(self.imcs, master.txn_table)
-        self._groups_received = obs.counter(
+        self.groups_received = obs.counter(
             "rac.satellite.groups_received", instance=instance_id
         )
         #: Batch sequences already accepted -- duplicated interconnect
@@ -162,7 +160,7 @@ class StandbySatellite:
                 self.imcs.invalidate_many(
                     group.object_id, group.blocks, group.commit_scn
                 )
-                self._groups_received.inc()
+                self.groups_received.inc()
             for tenant, scn in batch.coarse_tenants:
                 self.imcs.invalidate_tenant(tenant, scn)
         self._staged.clear()
@@ -190,9 +188,6 @@ class RemoteInvalidationRouter:
     the interconnect in batched, pipelined messages; ``drained`` gates the
     master's QuerySCN publication on the satellites' acknowledgements."""
 
-    groups_routed_local = obs.view("_groups_routed_local")
-    groups_routed_remote = obs.view("_groups_routed_remote")
-
     def __init__(
         self,
         master_store: InMemoryColumnStore,
@@ -211,10 +206,10 @@ class RemoteInvalidationRouter:
         #: sequence keeps duplicated messages/acks idempotent.
         self._outstanding_acks: set[int] = set()
         self._sequence = 0
-        self._groups_routed_local = obs.counter(
+        self.groups_routed_local = obs.counter(
             "rac.router.groups_routed_local"
         )
-        self._groups_routed_remote = obs.counter(
+        self.groups_routed_remote = obs.counter(
             "rac.router.groups_routed_remote"
         )
 
@@ -229,14 +224,14 @@ class RemoteInvalidationRouter:
                 self.master_store.invalidate_many(
                     group.object_id, sub_blocks, group.commit_scn
                 )
-                self._groups_routed_local.inc()
+                self.groups_routed_local.inc()
             else:
                 sub = InvalidationGroup(
                     group.object_id, group.tenant, group.commit_scn,
                     sub_blocks,
                 )
                 self._buffer(instance).groups.append(sub)
-                self._groups_routed_remote.inc()
+                self.groups_routed_remote.inc()
                 self._maybe_flush_buffer(instance)
 
     def route_coarse(self, tenant: TenantId, scn: SCN) -> None:

@@ -80,20 +80,18 @@ class _FilteredDistributor(ApplyDistributor):
     owns below s -- unowned CVs are someone else's responsibility.
     """
 
-    cvs_skipped = obs.view("_cvs_skipped")
-
     def __init__(
         self, n_workers: int, owns: Callable[[ChangeVector], bool]
     ) -> None:
         super().__init__(n_workers)
         self._owns = owns
-        self._cvs_skipped = obs.counter("rac.mira.cvs_skipped")
+        self.cvs_skipped = obs.counter("rac.mira.cvs_skipped")
 
     def _distribute_batch(self, batch: CVBatch) -> int:
         owned = np.fromiter(map(self._owns, batch.cvs), bool, batch.n_cvs)
         routed = self._enqueue(batch, np.nonzero(owned)[0])
         if batch.n_cvs > routed:
-            self._cvs_skipped.inc(batch.n_cvs - routed)
+            self.cvs_skipped.inc(batch.n_cvs - routed)
         return routed
 
 
@@ -218,10 +216,6 @@ class _Advancement:
 class MIRACoordinator(Actor):
     """The global coordinator: cluster consistency point + flush + publish."""
 
-    advancements = obs.view("_advancements")
-    nodes_flushed = obs.view("_nodes_flushed")
-    cross_instance_gathers = obs.view("_cross_instance_gathers")
-
     def __init__(
         self,
         cluster: "MIRAStandbyCluster",
@@ -236,9 +230,9 @@ class MIRACoordinator(Actor):
         self._advancing: Optional[_Advancement] = None
         self._last_check = -1.0
         self._obs = obs.current()
-        self._advancements = obs.counter("rac.mira.advancements")
-        self._nodes_flushed = obs.counter("rac.mira.nodes_flushed")
-        self._cross_instance_gathers = obs.counter(
+        self.advancements = obs.counter("rac.mira.advancements")
+        self.nodes_flushed = obs.counter("rac.mira.nodes_flushed")
+        self.cross_instance_gathers = obs.counter(
             "rac.mira.cross_instance_gathers"
         )
 
@@ -281,7 +275,7 @@ class MIRACoordinator(Actor):
             self._flush_node(node)
             advancement.position += 1
             flushed += 1
-            self._nodes_flushed.inc()
+            self.nodes_flushed.inc()
         cost += 1e-6 * max(flushed, 1)
         if advancement.position < len(advancement.worklink):
             return cost
@@ -305,7 +299,7 @@ class MIRACoordinator(Actor):
         finally:
             for instance in acquired:
                 instance.quiesce_lock.release_exclusive(self)
-        self._advancements.inc()
+        self.advancements.inc()
         self._advancing = None
         return cost + 2e-6
 
@@ -339,7 +333,7 @@ class MIRACoordinator(Actor):
             if instance.instance_id != node.xid.instance and anchor.n_records:
                 gathered_remote = True
         if gathered_remote:
-            self._cross_instance_gathers.inc()
+            self.cross_instance_gathers.inc()
         return gather_groups(anchors, node.commit_scn)
 
     def _process_ddl(self, target: SCN) -> None:
@@ -549,7 +543,7 @@ class MIRAStandbyCluster:
     def cvs_applied_per_instance(self) -> dict[InstanceId, int]:
         return {
             instance.instance_id: sum(
-                worker.cvs_applied for worker in instance.workers
+                worker.cvs_applied.value for worker in instance.workers
             )
             for instance in self.instances
         }

@@ -36,15 +36,6 @@ from repro.sim.scheduler import Actor, Scheduler
 class RedoReceiver:
     """Standby-side landing zone: one inbound queue per redo thread."""
 
-    #: Archive gaps detected and FAL-healed.
-    gaps_resolved = obs.view("_gaps_resolved")
-    gap_records_fetched = obs.view("_gap_records_fetched")
-    #: Already-received records discarded on redelivery (duplicated or
-    #: reordered shipments; redo application must stay exactly-once).
-    duplicates_discarded = obs.view("_duplicates_discarded")
-    #: Whole batches dropped by an installed chaos fault.
-    batches_dropped = obs.view("_batches_dropped")
-
     def __init__(self, fal_fetch=None) -> None:
         #: Per-thread landing queues of CVBatches.
         self._queues: dict[InstanceId, deque[CVBatch]] = {}
@@ -59,14 +50,18 @@ class RedoReceiver:
         #: positions [lo, hi) from the primary's archived logs.
         self.fal_fetch = fal_fetch
         self._obs = obs.current()
-        self._gaps_resolved = obs.counter("redo.receiver.gaps_resolved")
-        self._gap_records_fetched = obs.counter(
+        #: Archive gaps detected and FAL-healed.
+        self.gaps_resolved = obs.counter("redo.receiver.gaps_resolved")
+        self.gap_records_fetched = obs.counter(
             "redo.receiver.gap_records_fetched"
         )
-        self._duplicates_discarded = obs.counter(
+        #: Already-received records discarded on redelivery (duplicated or
+        #: reordered shipments; redo application must stay exactly-once).
+        self.duplicates_discarded = obs.counter(
             "redo.receiver.duplicates_discarded"
         )
-        self._batches_dropped = obs.counter("redo.receiver.batches_dropped")
+        #: Whole batches dropped by an installed chaos fault.
+        self.batches_dropped = obs.counter("redo.receiver.batches_dropped")
         self._chaos = sites.declare("redo.receive", owner=self)
 
     def register_thread(self, thread: InstanceId) -> None:
@@ -105,7 +100,7 @@ class RedoReceiver:
                 count=count,
             )
             if decision.action is sites.Action.DROP:
-                self._batches_dropped.inc()
+                self.batches_dropped.inc()
                 return
         if position is not None:
             if thread is None:
@@ -123,7 +118,7 @@ class RedoReceiver:
                 # redelivery (duplicated or reordered shipment): the
                 # prefix up to the watermark already landed -- discard it
                 already = min(expected - position, count)
-                self._duplicates_discarded.inc(already)
+                self.duplicates_discarded.inc(already)
                 batch = batch.slice_records(already, count)
                 count -= already
                 position = expected
@@ -166,8 +161,8 @@ class RedoReceiver:
             self.register_thread(fetched_thread)
             self._land(CVBatch.from_records(records))
         self.records_landed[thread] += hi - lo
-        self._gaps_resolved.inc()
-        self._gap_records_fetched.inc(hi - lo)
+        self.gaps_resolved.inc()
+        self.gap_records_fetched.inc(hi - lo)
 
     @property
     def threads(self) -> list[InstanceId]:
@@ -190,9 +185,6 @@ class LogShipper(Actor):
     #: Simulated CPU seconds per shipped record (marshalling overhead).
     COST_PER_RECORD = 2e-6
 
-    #: Records lost in transit by an installed chaos fault.
-    records_dropped = obs.view("_records_dropped")
-
     def __init__(
         self,
         log: RedoLog,
@@ -209,7 +201,7 @@ class LogShipper(Actor):
         self.node = node
         self.name = name or f"shipper-t{log.thread}"
         self._obs = obs.current()
-        self._records_dropped = obs.counter(
+        self.records_dropped = obs.counter(
             "redo.shipper.records_dropped", thread=log.thread
         )
         self._chaos = sites.declare("redo.ship", owner=self)
@@ -243,7 +235,7 @@ class LogShipper(Actor):
             if decision.action is sites.Action.DROP:
                 # lost in transit: the reader advanced, creating an
                 # archive gap the receiver will FAL-heal
-                self._records_dropped.inc(len(records))
+                self.records_dropped.inc(len(records))
                 return self.COST_PER_RECORD * len(records)
             if decision.action is sites.Action.DELAY:
                 latency += decision.delay
@@ -276,8 +268,6 @@ class FanOutLogShipper(Actor):
 
     COST_PER_RECORD = LogShipper.COST_PER_RECORD
 
-    records_dropped = obs.view("_records_dropped")
-
     def __init__(
         self,
         log: RedoLog,
@@ -295,7 +285,7 @@ class FanOutLogShipper(Actor):
         self.node = node
         self.name = name or f"fanout-shipper-t{log.thread}"
         self._obs = obs.current()
-        self._records_dropped = obs.counter(
+        self.records_dropped = obs.counter(
             "redo.shipper.records_dropped", thread=log.thread, fanout=1
         )
         self._chaos = sites.declare("redo.ship", owner=self)
@@ -346,7 +336,7 @@ class FanOutLogShipper(Actor):
                 if decision.action is sites.Action.DROP:
                     # this member's copy is lost in transit; its receiver
                     # will detect the gap and FAL-heal it
-                    self._records_dropped.inc(len(records))
+                    self.records_dropped.inc(len(records))
                     continue
                 if decision.action is sites.Action.DELAY:
                     latency += decision.delay

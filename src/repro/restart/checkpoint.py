@@ -180,9 +180,6 @@ class CheckpointWriter(Actor):
     the journal floor read is race-free).
     """
 
-    captures = obs.view("_captures")
-    chaos_skips = obs.view("_chaos_skips")
-
     def __init__(
         self,
         standby: "StandbyDatabase",
@@ -199,8 +196,8 @@ class CheckpointWriter(Actor):
         self._pending: list[ObjectId] = []
         self._round_scn: SCN = 0
         self._last_round = -1.0
-        self._captures = obs.counter("restart.checkpoint.captures")
-        self._chaos_skips = obs.counter("restart.checkpoint.chaos_skips")
+        self.captures = obs.counter("restart.checkpoint.captures")
+        self.chaos_skips = obs.counter("restart.checkpoint.chaos_skips")
         self._chaos = sites.declare("restart.checkpoint", owner=self)
 
     def step(self, sched: Scheduler) -> Optional[float]:
@@ -224,10 +221,10 @@ class CheckpointWriter(Actor):
             decision = chaos.consult("capture", object=object_id)
             if decision.action in (sites.Action.STALL, sites.Action.DELAY):
                 # hold the capture; this object is simply skipped this round
-                self._chaos_skips.inc()
+                self.chaos_skips.inc()
                 return CHECKPOINT_COST_PER_ROW
             if decision.action is sites.Action.DROP:
-                self._chaos_skips.inc()
+                self.chaos_skips.inc()
                 return CHECKPOINT_COST_PER_ROW
         standby = self.standby
         if not standby.imcs.is_enabled(object_id):
@@ -262,7 +259,7 @@ class CheckpointWriter(Actor):
         finally:
             standby.quiesce_lock.release_shared(self)
         self.store.put(checkpoint)
-        self._captures.inc()
+        self.captures.inc()
         return CHECKPOINT_COST_PER_ROW * max(checkpoint.n_rows, 1)
 
 

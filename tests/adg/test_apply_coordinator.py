@@ -134,9 +134,9 @@ class TestRecoveryWorker:
         sched = Scheduler()
         sched.add_actor(worker)
         sched.run_steps(1)
-        assert worker.sniff_retries == 1 and applier.applied == []
+        assert worker.sniff_retries.value == 1 and applier.applied == []
         sched.run_until(0.1)
-        assert worker.sniff_retries == 2
+        assert worker.sniff_retries.value == 2
         assert [scn for scn, __ in applier.applied] == [10, 11]
         assert mined == [10, 11]  # each chunk mined exactly once
 
@@ -282,7 +282,7 @@ class TestCoordinator:
         receiver.deliver(ship([rec(10, dba=1)]))
         sched.run_until(0.2)
         assert query_scn.value == 0  # blocked by the population capture
-        assert coord.quiesce_wait_retries > 0
+        assert coord.quiesce_wait_retries.value > 0
         coord.quiesce_lock.release_shared(holder)
         sched.run_until(0.4)
         assert query_scn.value == 10
@@ -301,8 +301,8 @@ class TestCoordinator:
         coord.quiesce_lock.release_shared(holder)
         sched.run_until(0.4)
         assert query_scn.value == 10
-        assert coord.quiesce_wait_retries >= 1
-        assert coord.publish_stall_time_total > 0.0
+        assert coord.quiesce_wait_retries.value >= 1
+        assert coord.publish_stall_time_total.value > 0.0
         assert coord.mean_adjusted_publish_latency >= 0.0
         assert (
             coord.mean_adjusted_publish_latency
@@ -311,7 +311,7 @@ class TestCoordinator:
         # the two means are linked by exactly the stall time
         assert coord.mean_publish_latency - \
             coord.mean_adjusted_publish_latency == pytest.approx(
-                coord.publish_stall_time_total / coord.advancements
+                coord.publish_stall_time_total.value / coord.advancements.value
             )
 
     def test_unstalled_advance_has_equal_raw_and_adjusted_latency(self):
@@ -319,14 +319,14 @@ class TestCoordinator:
         receiver.deliver(ship([rec(10, dba=1)]))
         sched.run_until(0.5)
         assert query_scn.value == 10
-        assert coord.publish_stall_time_total == 0.0
+        assert coord.publish_stall_time_total.value == 0.0
         assert coord.mean_adjusted_publish_latency == pytest.approx(
             coord.mean_publish_latency
         )
 
     def test_mean_latencies_zero_before_first_advancement(self):
         receiver, merger, query_scn, coord, sched, applier = build_pipeline()
-        assert coord.advancements == 0
+        assert coord.advancements.value == 0
         assert coord.mean_publish_latency == 0.0
         assert coord.mean_adjusted_publish_latency == 0.0
 
@@ -358,13 +358,13 @@ class TestCoordinator:
         assert query_scn.value == 10
         assert injector.fired_at is not None
         # counted as a delay, not folded into the stall counter
-        assert coord.publish_delays == 1
-        assert coord.publish_stalls == 0
+        assert coord.publish_delays.value == 1
+        assert coord.publish_stalls.value == 0
         # the injected duration was actually consumed before the retry
         publish_time = query_scn.history[0][0]
         assert publish_time >= injector.fired_at + 0.1
         # deferral is blocked wall time: excluded from adjusted latency
-        assert coord.publish_stall_time_total >= 0.1
+        assert coord.publish_stall_time_total.value >= 0.1
         assert (
             coord.mean_adjusted_publish_latency < coord.mean_publish_latency
         )

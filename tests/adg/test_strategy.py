@@ -284,8 +284,8 @@ class TestStrategyDeployments:
         churn(eager, rowids_e)
         churn(batched, rowids_b)
         assert (
-            batched.standby.coordinator.advancements
-            < eager.standby.coordinator.advancements
+            batched.standby.coordinator.advancements.value
+            < eager.standby.coordinator.advancements.value
         )
         for deployment in (eager, batched):
             scn = deployment.standby.query_scn.value
@@ -297,8 +297,10 @@ class TestStrategyDeployments:
         deployment, rowids = build_deployment("deferred")
         churn(deployment, rowids)
         flush = deployment.standby.flush
-        assert flush.staged_ops > 0  # drains went through the shadow side
-        assert flush.staged_retired > 0  # anchors retired post-publication
+        # drains went through the shadow side
+        assert flush.staged_ops.value > 0
+        # anchors retired post-publication
+        assert flush.staged_retired.value > 0
         deployment.run(0.3)
         assert not flush.has_pending_retire  # background drain converges
         scn = deployment.standby.query_scn.value

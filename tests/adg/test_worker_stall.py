@@ -38,7 +38,7 @@ def test_stalled_cv_retries_until_applied():
     sched.add_actor(worker)
     sched.run_until(0.1)
     assert applier.applied == [10, 11]
-    assert worker.apply_stalls == 3
+    assert worker.apply_stalls.value == 3
 
 
 def test_stalled_cv_is_sniffed_exactly_once():

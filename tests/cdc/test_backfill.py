@@ -19,10 +19,10 @@ class TestChunkedBackfill:
         deployment.cdc.subscribe(events, name="collector")
         drain(deployment, egress)
         assert replica.rows("T") == standby_rows(deployment)
-        assert egress.backfill_rows == 40
+        assert egress.backfill_rows.value == 40
         # chunk windows are block-granular: 40 rows / 8 per block over
         # chunk_blocks=4 means at least two windows ran
-        assert egress.backfill_chunks >= 2
+        assert egress.backfill_chunks.value >= 2
         backfilled = [e for e in events.events if e.source == BACKFILL]
         assert len(backfilled) == 40
         assert all(e.kind == UPSERT for e in backfilled)
@@ -31,7 +31,10 @@ class TestChunkedBackfill:
                      deployment.standby.query_scn.history}
         assert {e.scn for e in backfilled} <= published
         # the cut-window histogram observed every window
-        assert egress._cut_window.stats()["count"] == egress.backfill_chunks
+        assert (
+            egress._cut_window.stats()["count"]
+            == egress.backfill_chunks.value
+        )
 
     def test_live_wins_dedup_inside_window(self):
         """A row touched by a live event while the watermark window is
@@ -47,8 +50,8 @@ class TestChunkedBackfill:
         deployment.primary.commit(txn)
         deployment.catch_up()
         drain(deployment, egress)
-        assert egress.backfill_deduped >= 1
-        assert egress.backfill_rows + egress.backfill_deduped == 40
+        assert egress.backfill_deduped.value >= 1
+        assert egress.backfill_rows.value + egress.backfill_deduped.value == 40
         assert replica.rows("T") == standby_rows(deployment)
 
     def test_tail_inserts_covered_by_live_path(self):
@@ -75,7 +78,7 @@ class TestChunkedBackfill:
         deployment, egress, replica, __ = build_cdc_deployment(n=48)
         # run just far enough for some chunks to finish, not all
         assert deployment.sched.run_until_condition(
-            lambda: egress.backfill_chunks >= 1, max_time=10.0
+            lambda: egress.backfill_chunks.value >= 1, max_time=10.0
         )
         assert not egress.drained
         deployment.primary.truncate_table("T")
@@ -85,7 +88,7 @@ class TestChunkedBackfill:
         deployment.primary.commit(txn)
         deployment.catch_up()
         drain(deployment, egress)
-        assert egress.resyncs >= 1
+        assert egress.resyncs.value >= 1
         assert len(replica.rows("T")) == 7
         assert replica.rows("T") == standby_rows(deployment)
 

@@ -90,8 +90,8 @@ class TestLiveFeed:
         deployment.catch_up()
         drain(deployment, egress)
         assert replica.rows("T") == standby_rows(deployment)
-        assert egress.emitted > 0
-        assert egress.resolved > 0
+        assert egress.emitted.value > 0
+        assert egress.resolved.value > 0
 
     def test_delete_emits_tombstone(self):
         deployment, egress, replica, rowids = build_cdc_deployment(n=20)
@@ -147,7 +147,7 @@ class TestResync:
         primary.truncate_table("T")
         deployment.catch_up()
         drain(deployment, egress)
-        assert egress.resyncs >= 1
+        assert egress.resyncs.value >= 1
         assert replica.rows("T") == [] == standby_rows(deployment)
 
         txn = primary.begin()

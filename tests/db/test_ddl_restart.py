@@ -132,8 +132,8 @@ class TestRestartProtocol:
         deployment.catch_up()
         deployment.primary.commit(txn)
         deployment.run(1.0)
-        assert deployment.standby.miner.coarse_nodes_created >= 1
-        assert deployment.standby.imcs.coarse_invalidations >= 1
+        assert deployment.standby.miner.coarse_nodes_created.value >= 1
+        assert deployment.standby.imcs.coarse_invalidations.value >= 1
         # correctness holds: the update is visible (via fallback or repop)
         deployment.catch_up()
         result = deployment.standby.query("T", [Predicate.eq("n1", -1.0)])
@@ -157,8 +157,8 @@ class TestRestartProtocol:
         deployment.catch_up()
         deployment.primary.commit(txn)
         deployment.run(1.0)
-        assert deployment.standby.miner.coarse_nodes_created == 0
-        assert deployment.standby.imcs.coarse_invalidations == 0
+        assert deployment.standby.miner.coarse_nodes_created.value == 0
+        assert deployment.standby.imcs.coarse_invalidations.value == 0
 
     def test_pessimistic_mode_coarse_invalidates_everything(self):
         """Without specialized redo generation every cross-restart commit
@@ -182,7 +182,7 @@ class TestRestartProtocol:
         deployment.primary.commit(txn)
         deployment.run(1.0)
         # pessimism: coarse invalidation fires even for the PLAIN-only txn
-        assert deployment.standby.miner.coarse_nodes_created >= 1
+        assert deployment.standby.miner.coarse_nodes_created.value >= 1
 
     def test_restart_loses_imcus_and_repopulates(self, loaded_deployment):
         deployment, __ = loaded_deployment

@@ -173,7 +173,7 @@ class TestFlushLatchRecovery:
         node = node_with_records([rec(1, (0,))])
         flush._flush_one(node)  # must terminate
 
-        assert journal.latch_breaks == 1
+        assert journal.latch_breaks.value == 1
         assert journal.anchor_count == 0
         assert not journal.latches.latch_for(bucket).is_held()
 
@@ -181,7 +181,7 @@ class TestFlushLatchRecovery:
         journal, __ = make_flush()
         journal.get_or_create(XID, 0, object())
         assert journal.remove_with_recovery(XID, object()) is True
-        assert journal.latch_breaks == 0
+        assert journal.latch_breaks.value == 0
 
     def test_get_with_recovery_breaks_latch(self):
         journal, __ = make_flush()
@@ -190,7 +190,7 @@ class TestFlushLatchRecovery:
         journal.latches.latch_for(bucket).try_acquire(object())
         anchor = journal.get_with_recovery(XID, object())
         assert anchor is not None and anchor.xid == XID
-        assert journal.latch_breaks == 1
+        assert journal.latch_breaks.value == 1
 
 
 class TestChopStableOrder:

@@ -135,7 +135,7 @@ class TestMining:
         sniff(miner, update_cv(4242, dba=1, slot=2), 11, 0, object())
         __, anchor = journal.get(X1, object())
         assert anchor.n_records == 0
-        assert miner.data_records_mined == 0
+        assert miner.data_records_mined.value == 0
 
     def test_commit_creates_commit_table_node(self):
         table = make_table()
@@ -154,14 +154,14 @@ class TestMining:
         assert sniff(miner, commit_cv(50, flag=True), 50, 0, object())
         chopped = ct.chop(50)
         assert chopped[0].coarse
-        assert miner.coarse_nodes_created == 1
+        assert miner.coarse_nodes_created.value == 1
 
     def test_commit_without_begin_and_flag_false_is_skipped(self):
         table = make_table()
         journal, ct, *__rest, miner, flush = make_stack(table)
         assert sniff(miner, commit_cv(50, flag=False), 50, 0, object())
         assert ct.chop(50) == []
-        assert miner.coarse_nodes_created == 0
+        assert miner.coarse_nodes_created.value == 0
 
     def test_commit_without_begin_and_no_flag_pessimistic_coarse(self):
         """Specialized redo generation disabled (flag None): assume the
@@ -208,7 +208,7 @@ class TestMining:
         bucket = journal._bucket_index(X1)
         journal.latches.latch_for(bucket).try_acquire(blocker)
         assert not sniff(miner, begin_cv(), 10, 0, object())
-        assert miner.latch_misses == 1
+        assert miner.latch_misses.value == 1
 
     def test_tail_mode_skips_missing_begin_commit(self):
         """Instant-restart tail replay: a commit whose begin lies below
@@ -218,8 +218,8 @@ class TestMining:
         miner.tail_mode = True
         assert sniff(miner, commit_cv(50, flag=True), 50)
         assert ct.chop(50) == []
-        assert miner.tail_commits_skipped == 1
-        assert miner.coarse_nodes_created == 0
+        assert miner.tail_commits_skipped.value == 1
+        assert miner.coarse_nodes_created.value == 0
 
     def test_tail_mode_keeps_commits_with_begin(self):
         table = make_table()
@@ -229,7 +229,7 @@ class TestMining:
         assert sniff(miner, commit_cv(50), 50)
         (node,) = ct.chop(50)
         assert not node.coarse and node.anchor is not None
-        assert miner.tail_commits_skipped == 0
+        assert miner.tail_commits_skipped.value == 0
 
     def test_latch_miss_mid_chunk_resumes_without_remining(self):
         """A latch miss part-way through a chunk keeps the progress made;
@@ -254,12 +254,12 @@ class TestMining:
         assert latch.try_acquire(blocker)
         assert not miner.sniff_chunk(chunk, 0, object())
         assert chunk.mined_pos == 2 and not chunk.fully_mined
-        assert miner.latch_misses == 1
+        assert miner.latch_misses.value == 1
         latch.release(blocker)
         assert miner.sniff_chunk(chunk, 0, object())
         assert chunk.fully_mined
         assert journal.record_count == 2
-        assert miner.data_records_mined == 2
+        assert miner.data_records_mined.value == 2
 
 
 class TestFlush:
@@ -327,7 +327,7 @@ class TestFlush:
         flush.begin_advance(320)
         while not flush.is_advance_complete():
             flush.coordinator_flush(8)
-        assert flush.coarse_flushes == 1
+        assert flush.coarse_flushes.value == 1
         assert all(s.fully_invalid for s in store.segment(oid).live_units())
 
     def test_groups_merge_slots_per_block(self):
@@ -345,7 +345,7 @@ class TestFlush:
         sniff(miner, commit_cv(310), 310, 0, object())
         flush.begin_advance(320)
         flush.coordinator_flush(8)
-        assert flush.groups_created == 1  # one object, few blocks
+        assert flush.groups_created.value == 1  # one object, few blocks
 
     def test_worker_flush_respects_cooperative_switch(self):
         table = make_table()
@@ -362,7 +362,7 @@ class TestFlush:
         assert flush.worker_flush(0, 8) == 0  # ablation: workers opt out
         flush.cooperative = True
         assert flush.worker_flush(0, 8) == 1
-        assert flush.nodes_flushed_by_workers == 1
+        assert flush.nodes_flushed_by_workers.value == 1
 
     def test_ddl_processing_drops_units_and_applies_schema(self):
         table = make_table()
@@ -381,7 +381,7 @@ class TestFlush:
         flush.begin_advance(360)
         assert store.segment(oid).live_units() == []
         assert applied == [payload]
-        assert flush.ddl_processed == 1
+        assert flush.ddl_processed.value == 1
 
     def test_ddl_beyond_target_deferred(self):
         table = make_table()
@@ -416,7 +416,7 @@ class TestFlush:
         # dropped at begin_advance time: a reader at the published SCN can
         # never see a stale unit for the DDL-affected object
         assert store.segment(oid).live_units() == []
-        assert flush.ddl_processed == 1
+        assert flush.ddl_processed.value == 1
         # a second, deferred DDL past the target stays pending across
         # finish_advance -- finishing must not process it early
         late = DDLMarkerPayload("drop_column", (oid,), "T", {"column": "n2"})
@@ -427,5 +427,5 @@ class TestFlush:
             flush.coordinator_flush(8)
         flush.finish_advance(360)
         assert flush.worklink is None  # drained worklink retired
-        assert flush.ddl_processed == 1  # no DDL ran in finish_advance
+        assert flush.ddl_processed.value == 1  # no DDL ran in finish_advance
         assert len(dt) == 1  # the late marker is still buffered

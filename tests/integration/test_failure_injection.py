@@ -94,7 +94,7 @@ class TestTransportFaults:
             deployment.primary.update(txn, "T", rowid, {"n1": -6.0})
         deployment.primary.commit(txn)
         deployment.catch_up()
-        assert deployment.standby.receiver.gaps_resolved >= 1
+        assert deployment.standby.receiver.gaps_resolved.value >= 1
         result = deployment.standby.query("T", [Predicate.eq("n1", -6.0)])
         assert len(result.rows) == 20
         assert_invariants(ctx)
@@ -117,7 +117,7 @@ class TestTransportFaults:
             deployment.primary.commit(txn)
             deployment.run(0.08)
         deployment.catch_up()
-        assert deployment.standby.receiver.duplicates_discarded >= 1
+        assert deployment.standby.receiver.duplicates_discarded.value >= 1
         assert_invariants(ctx)
 
 
@@ -171,7 +171,7 @@ class TestPublishStall:
             deployment.primary.update(txn, "T", rowid, {"n1": -9.0})
         deployment.primary.commit(txn)
         deployment.catch_up(timeout=900.0)
-        assert deployment.standby.coordinator.publish_stalls >= 1
+        assert deployment.standby.coordinator.publish_stalls.value >= 1
         assert_invariants(ctx)
 
 
@@ -225,14 +225,15 @@ class TestQuiesceContention:
         FaultPlan().at(
             ctx.sched.now, F.Stall("flush.worklink", count=5)
         ).arm(ctx)
-        advancements_before = deployment.standby.coordinator.advancements
+        coordinator = deployment.standby.coordinator
+        advancements_before = coordinator.advancements.value
         txn = deployment.primary.begin()
         for rowid in rowids[:50]:
             deployment.primary.update(txn, "T", rowid, {"n1": -2.0})
         deployment.primary.commit(txn)
         deployment.catch_up(timeout=900.0)
-        assert deployment.standby.coordinator.advancements > advancements_before
-        assert deployment.standby.flush.chaos_stalls >= 1
+        assert coordinator.advancements.value > advancements_before
+        assert deployment.standby.flush.chaos_stalls.value >= 1
         assert_invariants(ctx)
 
 

@@ -7,13 +7,12 @@ supposed to reproduce the identical lag curve from instruments alone, so
 for *any* interleaving of generation and publication events the two
 computations must agree pointwise: the tracer's ``scn_gap_at`` /
 ``worst_scn_gap`` against a reference built from the very same events
-with :class:`repro.metrics.stats.TimeSeries` step interpolation.
+as plain (time, value) point lists with step interpolation.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics.stats import TimeSeries
 from repro.obs import MetricsRegistry, RedoLifecycleTracer
 
 
@@ -66,24 +65,23 @@ def test_instrument_lag_matches_reference_bookkeeping(events):
 
     # reference (bench-side) bookkeeping, fed from the same events
     ref_generated = {}
-    ref_published = TimeSeries("published")
+    ref_published = []
     published_watermark = 0
 
     for kind, t, thread, scn in events:
         clock.now = t
         if kind == "generate":
             tracer.record_generated(Record(scn, thread=thread))
-            ref_generated.setdefault(thread, TimeSeries(str(thread)))
-            ref_generated[thread].record(t, scn)
+            ref_generated.setdefault(thread, []).append((t, scn))
         else:
             tracer.record_published(scn)
             if scn > published_watermark:
                 published_watermark = scn
-                ref_published.record(t, scn)
+                ref_published.append((t, scn))
 
-    def ref_value(series, t):
+    def ref_value(points, t):
         value = 0.0
-        for point_t, point_value in series.points:
+        for point_t, point_value in points:
             if point_t > t:
                 break
             value = point_value
@@ -100,16 +98,16 @@ def test_instrument_lag_matches_reference_bookkeeping(events):
         )
         expected = max(0.0, generated - ref_value(ref_published, t))
         assert tracer.scn_gap_at(t) == expected
-        for thread, series in ref_generated.items():
+        for thread, points in ref_generated.items():
             expected_thread = max(
-                0.0, ref_value(series, t) - ref_value(ref_published, t)
+                0.0, ref_value(points, t) - ref_value(ref_published, t)
             )
             assert tracer.scn_gap_at(t, thread=thread) == expected_thread
 
     # worst gap agreement: max over generation sample times
     expected_worst = 0.0
-    for series in ref_generated.values():
-        for t, generated in series.points:
+    for points in ref_generated.values():
+        for t, generated in points:
             expected_worst = max(
                 expected_worst, generated - ref_value(ref_published, t)
             )

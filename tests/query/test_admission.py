@@ -21,7 +21,7 @@ class TestLimits:
         assert ctrl.try_admit("s")
         assert ctrl.try_admit("s")
         assert not ctrl.try_admit("s")
-        assert ctrl.active == 2 and ctrl.rejected == 1
+        assert ctrl.active == 2 and ctrl.rejected.value == 1
         ctrl.release("s")
         assert ctrl.try_admit("s")
 
@@ -197,7 +197,7 @@ class TestTimeouts:
         assert timed_out == ["timeout"]
         ctrl.release("s")  # the slot goes unused, not to the dead waiter
         assert "granted" not in timed_out
-        assert ctrl.timeouts == 1
+        assert ctrl.timeouts.value == 1
 
     def test_waiter_within_deadline_survives(self):
         clock = FakeClock()

@@ -24,7 +24,7 @@ class TestLookupStore:
         hit = cache.lookup(key())
         assert hit is not None
         assert hit.rows == [(1, "a"), (2, "b")]
-        assert cache.hits == 1 and cache.misses == 1
+        assert cache.hits.value == 1 and cache.misses.value == 1
 
     def test_hit_is_a_copy_with_cache_serve_cost(self):
         cache = ResultCache()
@@ -64,7 +64,7 @@ class TestEpochGuard:
         cache.on_object_invalidated(900, scn=50)  # moved mid-flight
         assert not cache.put(key(), [900], result(), epochs)
         assert cache.lookup(key()) is None
-        assert cache.stale_stores == 1
+        assert cache.stale_stores.value == 1
 
     def test_fresh_epoch_store_accepted(self):
         cache = ResultCache()
@@ -93,7 +93,7 @@ class TestEpochGuard:
         epochs = cache.snapshot_epochs([])
         cache.on_coarse_invalidation(tenant=0, scn=60)  # clear mid-flight
         assert not cache.put(key(), [], result(), epochs)
-        assert cache.stale_stores == 1
+        assert cache.stale_stores.value == 1
         assert cache.lookup(key()) is None
 
 
@@ -107,7 +107,7 @@ class TestInvalidation:
         assert cache.lookup(key(scn=1)) is None
         assert cache.lookup(key(scn=2)) is not None
         assert cache.lookup(key(scn=3)) is None  # depends on 900 too
-        assert cache.invalidation_evictions == 2
+        assert cache.invalidation_evictions.value == 2
 
     def test_object_drop_evicts(self):
         cache = ResultCache()

@@ -36,7 +36,7 @@ class TestScan:
         assert not cached_first and cached_second
         assert second.rows == first.rows
         assert second.stats.cost_seconds == CACHE_HIT_COST
-        assert service.cache.hits == 1
+        assert service.cache.hits.value == 1
 
     def test_different_fingerprint_not_shared(self, service_deployment):
         __, service, ___ = service_deployment
@@ -78,7 +78,7 @@ class TestInvalidation:
 
         # the flush evicted every entry depending on T's partitions,
         # strictly before publishing the new QuerySCN
-        assert service.cache.invalidation_evictions >= 1
+        assert service.cache.invalidation_evictions.value >= 1
         assert service.cache.lookup(old_key) is None
         after, cached = service.scan("T", predicates)
         assert not cached
@@ -116,4 +116,4 @@ class TestInvalidation:
         deployment.run(5.0)
         assert "T" not in deployment.standby.catalog
         assert len(service.cache) == 0
-        assert service.cache.invalidation_evictions >= 1
+        assert service.cache.invalidation_evictions.value >= 1

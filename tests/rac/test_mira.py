@@ -104,14 +104,16 @@ class TestMIRAApply:
             for record in log.records_from(0)
         )
         applied = sum(cluster.cvs_applied_per_instance().values())
-        skipped = sum(i.distributor.cvs_skipped for i in cluster.instances)
+        skipped = sum(
+            i.distributor.cvs_skipped.value for i in cluster.instances
+        )
         # ownership partitions the stream: cluster-wide, each CV is applied
         # at most once (heartbeats keep flowing, so <=, not ==)
         assert applied <= total_cvs
         # and every instance really did see + skip the unowned majority
         assert skipped > 0
         assert all(
-            instance.distributor.cvs_skipped > 0
+            instance.distributor.cvs_skipped.value > 0
             for instance in cluster.instances
         )
 
@@ -154,7 +156,7 @@ class TestMIRADbim:
             primary.update(txn, "T", rowid, {"n1": -8.0})
         primary.commit(txn)
         catch_up(primary, cluster, sched)
-        assert cluster.coordinator.cross_instance_gathers >= 1
+        assert cluster.coordinator.cross_instance_gathers.value >= 1
         result = cluster.query("T", [Predicate.eq("n1", -8.0)])
         assert len(result.rows) == 50
         # old values gone

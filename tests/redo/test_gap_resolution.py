@@ -61,8 +61,8 @@ class TestReceiverGapHandling:
         receiver.deliver(
             ship([log.record_at(i) for i in range(7, 10)]), position=7
         )
-        assert receiver.gaps_resolved == 1
-        assert receiver.gap_records_fetched == 6
+        assert receiver.gaps_resolved.value == 1
+        assert receiver.gap_records_fetched.value == 6
         # the healed gap lands as one batch, ahead of the shipment that
         # exposed it
         assert [b.n_records for b in receiver.queue(1)] == [1, 6, 3]
@@ -73,7 +73,7 @@ class TestReceiverGapHandling:
         receiver.register_thread(1)
         receiver.deliver(ship([rec(10), rec(11)]), position=0)
         receiver.deliver(ship([rec(12)]), position=2)
-        assert receiver.gaps_resolved == 0
+        assert receiver.gaps_resolved.value == 0
 
     def test_short_fal_answer_rejected(self):
         receiver = RedoReceiver(fal_fetch=lambda t, lo, hi: [])
@@ -101,8 +101,8 @@ class TestReceiverGapEdges:
         receiver = RedoReceiver(fal_fetch=fal)
         receiver.register_thread(1)
         receiver.deliver(ship([log.record_at(3)]), position=3)
-        assert receiver.gaps_resolved == 1
-        assert receiver.gap_records_fetched == 3
+        assert receiver.gaps_resolved.value == 1
+        assert receiver.gap_records_fetched.value == 3
         assert receiver.expected_position(1) == 4
         scns = sorted(landed_scns(receiver, 1))
         assert scns == [10, 11, 12, 13]
@@ -114,8 +114,8 @@ class TestReceiverGapEdges:
         receiver.deliver(ship([log.record_at(0)]), position=0)
         receiver.deliver(ship([log.record_at(5)]), position=5)   # gap [1, 5)
         receiver.deliver(ship([log.record_at(9)]), position=9)   # gap [6, 9)
-        assert receiver.gaps_resolved == 2
-        assert receiver.gap_records_fetched == 7
+        assert receiver.gaps_resolved.value == 2
+        assert receiver.gap_records_fetched.value == 7
         assert receiver.expected_position(1) == 10
         scns = sorted(landed_scns(receiver, 1))
         assert scns == list(range(10, 20))
@@ -139,8 +139,8 @@ class TestReceiverGapEdges:
         receiver = RedoReceiver(fal_fetch=fal)
         receiver.register_thread(1)
         receiver.deliver(ship([]), position=4, thread=1)
-        assert receiver.gaps_resolved == 1
-        assert receiver.gap_records_fetched == 4
+        assert receiver.gaps_resolved.value == 1
+        assert receiver.gap_records_fetched.value == 4
         assert receiver.expected_position(1) == 4
         assert receiver.records_landed[1] == 4
 
@@ -164,8 +164,8 @@ class TestReceiverGapEdges:
         receiver.register_thread(1)
         receiver.deliver(ship([rec(10)]), position=0)
         receiver.deliver(ship([rec(30)]), position=5)  # gap [1, 5)
-        assert receiver.gaps_resolved == 1
-        assert receiver.gap_records_fetched == 4
+        assert receiver.gaps_resolved.value == 1
+        assert receiver.gap_records_fetched.value == 4
         assert 2 in receiver.threads
         assert landed_scns(receiver, 2) == [101, 102, 103, 104]
         assert receiver.received_scn[2] == 104
@@ -182,7 +182,7 @@ class TestReceiverGapEdges:
         receiver.register_thread(1)
         receiver.register_thread(2)
         receiver.deliver(ship([rec(30, 1)]), position=5)  # gap [0, 5)
-        assert receiver.gaps_resolved == 1
+        assert receiver.gaps_resolved.value == 1
         healed_1, shipped_1 = receiver.queue(1)
         (healed_2,) = receiver.queue(2)
         assert healed_1.thread == 1 and healed_2.thread == 2
@@ -202,7 +202,7 @@ class TestReceiverGapEdges:
         batch = ship([log.record_at(i) for i in range(3)])
         receiver.deliver(batch, position=0)
         receiver.deliver(batch, position=0)  # exact duplicate
-        assert receiver.duplicates_discarded == 3
+        assert receiver.duplicates_discarded.value == 3
         assert landed_scns(receiver, 1) == [10, 11, 12]
         assert receiver.expected_position(1) == 3
 
@@ -217,7 +217,7 @@ class TestReceiverGapEdges:
         receiver.deliver(
             ship([log.record_at(i) for i in range(1, 5)]), position=1
         )
-        assert receiver.duplicates_discarded == 2
+        assert receiver.duplicates_discarded.value == 2
         assert receiver.expected_position(1) == 5
         scns = sorted(landed_scns(receiver, 1))
         assert scns == list(range(10, 15))
@@ -242,7 +242,7 @@ class TestEndToEndGap:
         deployment.primary.commit(txn)
         shipper.drop_next(10)  # lose 10 records in transit
         deployment.catch_up()
-        assert deployment.standby.receiver.gaps_resolved >= 1
+        assert deployment.standby.receiver.gaps_resolved.value >= 1
         result = deployment.standby.query("T", [Predicate.eq("n1", -6.0)])
         assert len(result.rows) == 20
 

@@ -125,7 +125,7 @@ class RecordJournal(IMADGJournal):
                 anchor = RecordAnchorNode(xid=xid, tenant=tenant)
                 anchor.floor_sink = self._note_floor
                 self._buckets[index][xid] = anchor
-                self._anchors_created.inc()
+                self.anchors_created.inc()
             return anchor
         finally:
             latch.release(owner)
@@ -162,7 +162,7 @@ class RecordMiner(MiningComponent):
             return True
         if op is CVOp.DDL_MARKER:
             self.ddl_table.add(scn, cv.payload)
-            self._ddl_markers_mined.inc()
+            self.ddl_markers_mined.inc()
             return True
         if cv.is_control:
             if op is CVOp.TXN_COMMIT:
@@ -174,7 +174,7 @@ class RecordMiner(MiningComponent):
         payload: CommitPayload = cv.payload
         acquired, anchor = self.journal.get(cv.xid, owner)
         if not acquired:
-            self._latch_misses.inc()
+            self.latch_misses.inc()
             return False
         if anchor is not None and anchor.has_begin:
             node = CommitTableNode(
@@ -185,11 +185,11 @@ class RecordMiner(MiningComponent):
             )
         else:
             if payload.modifies_imcs is False:
-                self._control_records_mined.inc()
+                self.control_records_mined.inc()
                 return True
             if self.tail_mode:
-                self._tail_commits_skipped.inc()
-                self._control_records_mined.inc()
+                self.tail_commits_skipped.inc()
+                self.control_records_mined.inc()
                 return True
             node = CommitTableNode(
                 xid=cv.xid,
@@ -198,13 +198,13 @@ class RecordMiner(MiningComponent):
                 tenant=cv.tenant,
                 coarse=True,
             )
-            self._coarse_nodes_created.inc()
+            self.coarse_nodes_created.inc()
         if not self.commit_table.insert(node, owner):
-            self._latch_misses.inc()
+            self.latch_misses.inc()
             if node.coarse:
-                self._coarse_nodes_created.inc(-1)  # recreated on retry
+                self.coarse_nodes_created.inc(-1)  # recreated on retry
             return False
-        self._control_records_mined.inc()
+        self.control_records_mined.inc()
         return True
 
     def _sniff_data(
@@ -218,7 +218,7 @@ class RecordMiner(MiningComponent):
             return True
         anchor = self.journal.get_or_create(cv.xid, cv.tenant, owner)
         if anchor is None:
-            self._latch_misses.inc()
+            self.latch_misses.inc()
             return False
         anchor.add(
             worker_id,
@@ -230,7 +230,7 @@ class RecordMiner(MiningComponent):
                 scn=scn,
             ),
         )
-        self._data_records_mined.inc()
+        self.data_records_mined.inc()
         return True
 
     @staticmethod

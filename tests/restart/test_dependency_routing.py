@@ -63,14 +63,15 @@ class TestRouting:
         assert len(owners) == 1
         queue = d.queues[owners.pop()]
         assert queued_scns(queue) == [10, 11, 12]
-        assert d.chained_cvs == 2  # first CV opened the chain unencumbered
+        # the first CV opened the chain unencumbered
+        assert d.chained_cvs.value == 2
 
     def test_unrelated_dbas_spread_by_load(self):
         d = DependencyAwareDistributor(4)
         records = [rec(10 + i, data_cv(100 + i)) for i in range(4)]
         d.distribute([ship(*records)])
         assert queue_lengths(d) == [1, 1, 1, 1]
-        assert d.chained_cvs == 0
+        assert d.chained_cvs.value == 0
 
     def test_create_table_marker_pulls_object_cvs(self):
         """Data CVs for a just-created object follow the queued marker to
@@ -137,6 +138,6 @@ class TestEndToEnd:
         assert isinstance(dep.standby.distributor, DependencyAwareDistributor)
         dep_rows = sorted(dep.standby.query("T").rows)
         assert dep_rows == hash_rows
-        assert dep.standby.distributor.chained_cvs > 0
+        assert dep.standby.distributor.chained_cvs.value > 0
         # all edges drained once apply caught up
         assert not dep.standby.distributor._dba_owner
